@@ -14,8 +14,6 @@ std::uint64_t splitmix64(std::uint64_t& x) noexcept {
   return z ^ (z >> 31);
 }
 
-std::uint64_t rotl(std::uint64_t x, int k) noexcept { return (x << k) | (x >> (64 - k)); }
-
 }  // namespace
 
 Rng::Rng(std::uint64_t seed) noexcept {
@@ -31,18 +29,6 @@ std::uint64_t Rng::seed_from_string(std::string_view name) noexcept {
   return h;
 }
 
-std::uint64_t Rng::next_u64() noexcept {
-  const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
-  const std::uint64_t t = state_[1] << 17;
-  state_[2] ^= state_[0];
-  state_[3] ^= state_[1];
-  state_[1] ^= state_[2];
-  state_[0] ^= state_[3];
-  state_[2] ^= t;
-  state_[3] = rotl(state_[3], 45);
-  return result;
-}
-
 std::uint64_t Rng::next_below(std::uint64_t bound) noexcept {
   // Lemire-style rejection: reject values in the biased tail.
   const std::uint64_t threshold = (0 - bound) % bound;
@@ -55,10 +41,6 @@ std::uint64_t Rng::next_below(std::uint64_t bound) noexcept {
 int Rng::next_int(int lo, int hi) noexcept {
   const auto span = static_cast<std::uint64_t>(hi - lo) + 1;
   return lo + static_cast<int>(next_below(span));
-}
-
-double Rng::next_double() noexcept {
-  return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
 }
 
 bool Rng::next_bool(double p) noexcept {

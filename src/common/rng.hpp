@@ -24,8 +24,19 @@ class Rng {
   /// benchmark gets its own stable stream.
   [[nodiscard]] static std::uint64_t seed_from_string(std::string_view name) noexcept;
 
-  /// Next raw 64-bit value.
-  std::uint64_t next_u64() noexcept;
+  /// Next raw 64-bit value. Defined inline: the stochastic-swap mapper
+  /// draws m² of these per trial.
+  std::uint64_t next_u64() noexcept {
+    const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
+    const std::uint64_t t = state_[1] << 17;
+    state_[2] ^= state_[0];
+    state_[3] ^= state_[1];
+    state_[1] ^= state_[2];
+    state_[0] ^= state_[3];
+    state_[2] ^= t;
+    state_[3] = rotl(state_[3], 45);
+    return result;
+  }
 
   /// Uniform integer in [0, bound). `bound` must be > 0. Uses rejection
   /// sampling, so the distribution is exactly uniform.
@@ -35,7 +46,13 @@ class Rng {
   int next_int(int lo, int hi) noexcept;
 
   /// Uniform double in [0, 1).
-  double next_double() noexcept;
+  double next_double() noexcept { return to_double(next_u64()); }
+
+  /// The double next_double() returns when next_u64() would return `raw`,
+  /// for callers that draw raw values now and convert only those they use.
+  static double to_double(std::uint64_t raw) noexcept {
+    return static_cast<double>(raw >> 11) * 0x1.0p-53;
+  }
 
   /// True with probability `p` (clamped to [0,1]).
   bool next_bool(double p) noexcept;
@@ -59,6 +76,8 @@ class Rng {
   }
 
  private:
+  static std::uint64_t rotl(std::uint64_t x, int k) noexcept { return (x << k) | (x >> (64 - k)); }
+
   std::uint64_t state_[4];
 };
 

@@ -246,14 +246,6 @@ bool resolve_toggle(Toggle toggle, const char* env_name) {
   return !(v == "off" || v == "0" || v == "false");
 }
 
-/// Hardness proxy per instance for the work-stealing priority order: the
-/// undirected edge count of the induced coupling subgraph. Sparse subsets
-/// need more SWAPs, so their descending search runs longest; starting them
-/// while the shared Eq. (5) bound is still loose maximises how much of
-/// that work later bounds can abort, while dense subsets finish quickly
-/// anywhere and publish tight bounds early. The ShardExecutor queue orders
-/// tasks by (priority, request, index), so within one request equal-edge
-/// instances keep subset-index order — exactly the old stable sort.
 /// Accumulates per-phase wall time for MappingResult::trace_summary. Only
 /// populated while tracing is enabled (checked once, at map_exact entry);
 /// shard-side phases sum across threads, so encode/solve can exceed the
@@ -296,6 +288,14 @@ std::uint64_t elapsed_ns(Clock::time_point since) {
       std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() - since).count());
 }
 
+/// Hardness proxy per instance for the work-stealing priority order: the
+/// undirected edge count of the induced coupling subgraph. Sparse subsets
+/// need more SWAPs, so their descending search runs longest; starting them
+/// while the shared Eq. (5) bound is still loose maximises how much of
+/// that work later bounds can abort, while dense subsets finish quickly
+/// anywhere and publish tight bounds early. The ShardExecutor queue orders
+/// tasks by (priority, request, index), so within one request equal-edge
+/// instances keep subset-index order — exactly the old stable sort.
 std::vector<long long> instance_hardness(const arch::CouplingMap& cm,
                                          const std::vector<std::vector<int>>& instances) {
   std::vector<long long> edges(instances.size(), 0);

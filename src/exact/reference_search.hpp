@@ -6,8 +6,10 @@
 /// applicable at all) the minimal added cost F can also be computed by a
 /// shortest-path sweep over all injective logical→physical placements per
 /// gate: between consecutive gates the placement may change at permutation
-/// points, paying 7·(minimal SWAPs realising the change), and executing a
-/// CNOT against the edge direction pays 4. This is an entirely separate
+/// points, paying `costs.swap_cost` per SWAP of the minimal sequence
+/// realising the change, and executing a CNOT against the edge direction
+/// pays `costs.reverse_cost` — the weights of the resolved `CostModel`
+/// (7 and 4 under the paper's gate count). This is an entirely separate
 /// code path from the symbolic encoder, used by the test-suite to certify
 /// that both reasoning-engine backends return truly minimal costs, and by
 /// the benchmarks as a fast reference.

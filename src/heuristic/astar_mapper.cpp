@@ -1,9 +1,10 @@
 #include "heuristic/astar_mapper.hpp"
 
 #include <algorithm>
-#include <map>
+#include <cstdint>
 #include <queue>
 #include <stdexcept>
+#include <unordered_map>
 
 #include "arch/distances.hpp"
 #include "arch/swap_cost_cache.hpp"
@@ -20,7 +21,22 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// Upper bound on the live memory of one layer's search. A generated node
+/// costs its layout and back-pointer in the arenas, an open-list entry and
+/// a best-cost entry. The vector-held parts are counted twice, for the
+/// slack of geometric growth. The search throws its budget error before
+/// the nodes could outgrow this, so a layer it cannot close fails fast
+/// instead of exhausting memory.
+constexpr std::size_t kSearchMemoryBytes = std::size_t{128} << 20;
+constexpr std::size_t kBestCostEntryBytes = 64;  // hash node, bucket and allocator overhead
+
+[[noreturn]] void budget_exhausted() {
+  throw std::invalid_argument("map_astar: search budget exhausted for a layer");
+}
+
 /// A* search for the cheapest SWAP sequence making all `pairs` executable.
+/// Nodes keep their layout in one flat arena and a back-pointer to their
+/// parent instead of a copy of their whole SWAP history.
 std::vector<std::pair<int, int>> astar_route(const std::vector<std::pair<int, int>>& pairs,
                                              const std::vector<int>& start_layout,
                                              const arch::CouplingMap& cm,
@@ -29,16 +45,28 @@ std::vector<std::pair<int, int>> astar_route(const std::vector<std::pair<int, in
   struct Node {
     long long f;
     long long g;
-    std::vector<int> layout;
-    std::vector<std::pair<int, int>> swaps;
+    std::uint32_t id;  // index into `layouts` / `links`
     bool operator>(const Node& o) const { return f > o.f; }
   };
+  struct Link {
+    std::uint32_t parent;
+    std::uint32_t edge;  // index into cm.undirected_edges()
+  };
+  const auto& edges = cm.undirected_edges();
+  const std::size_t n = start_layout.size();
+  const std::size_t node_bytes =
+      2 * (n * sizeof(int) + sizeof(Link) + sizeof(Node)) + kBestCostEntryBytes;
+  const std::size_t max_nodes = kSearchMemoryBytes / node_bytes;
 
-  const auto heuristic = [&](const std::vector<int>& lay) {
+  std::vector<int> layouts(start_layout);  // n entries per generated node
+  std::vector<Link> links{{0, 0}};         // the root's link is never followed
+  const auto layout_of = [&](std::uint32_t id) { return layouts.data() + id * n; };
+
+  const auto heuristic = [&](const int* lay) {
     long long h = 0;
     for (const auto& [qc, qt] : pairs) {
-      const int pc = lay[static_cast<std::size_t>(qc)];
-      const int pt = lay[static_cast<std::size_t>(qt)];
+      const int pc = lay[qc];
+      const int pt = lay[qt];
       if (!cm.coupled(pc, pt)) {
         // Admissible: at least hops-1 SWAPs are still needed for this pair.
         h += swap_cost * (dist.hops(pc, pt) - 1);
@@ -46,46 +74,68 @@ std::vector<std::pair<int, int>> astar_route(const std::vector<std::pair<int, in
     }
     return h;
   };
-  const auto is_goal = [&](const std::vector<int>& lay) {
-    return std::all_of(pairs.begin(), pairs.end(), [&](const auto& pr) {
-      return cm.coupled(lay[static_cast<std::size_t>(pr.first)],
-                        lay[static_cast<std::size_t>(pr.second)]);
-    });
+  const auto is_goal = [&](const int* lay) {
+    return std::all_of(pairs.begin(), pairs.end(),
+                       [&](const auto& pr) { return cm.coupled(lay[pr.first], lay[pr.second]); });
   };
 
+  // Best cost per distinct layout, keyed by the first node holding it.
+  const auto hash = [&](std::uint32_t id) {
+    const int* lay = layout_of(id);
+    std::size_t h = 0xcbf29ce484222325ULL;  // FNV-1a over the placement
+    for (std::size_t i = 0; i < n; ++i) {
+      h = (h ^ static_cast<std::size_t>(lay[i])) * 0x100000001b3ULL;
+    }
+    return h;
+  };
+  const auto same = [&](std::uint32_t x, std::uint32_t y) {
+    return std::equal(layout_of(x), layout_of(x) + n, layout_of(y));
+  };
+  using BestCost = std::unordered_map<std::uint32_t, long long, decltype(hash), decltype(same)>;
+  BestCost best_g(0, hash, same);
   std::priority_queue<Node, std::vector<Node>, std::greater<>> open;
-  std::map<std::vector<int>, long long> best_g;
-  open.push({heuristic(start_layout), 0, start_layout, {}});
-  best_g[start_layout] = 0;
+  open.push({heuristic(layout_of(0)), 0, 0});
+  best_g.emplace(0, 0);
 
   int expansions = 0;
   while (!open.empty()) {
-    Node cur = open.top();
+    const Node cur = open.top();
     open.pop();
-    if (const auto it = best_g.find(cur.layout); it != best_g.end() && it->second < cur.g) {
-      continue;  // stale entry
-    }
-    if (is_goal(cur.layout)) return cur.swaps;
-    if (++expansions > max_expansions) break;
-    for (const auto& [a, b] : cm.undirected_edges()) {
-      Node next = cur;
-      next.g += swap_cost;
-      for (auto& p : next.layout) {
-        if (p == a) {
-          p = b;
-        } else if (p == b) {
-          p = a;
-        }
+    if (best_g.find(cur.id)->second < cur.g) continue;  // stale entry
+    if (is_goal(layout_of(cur.id))) {
+      std::vector<std::pair<int, int>> swaps;
+      for (std::uint32_t id = cur.id; id != 0; id = links[id].parent) {
+        swaps.push_back(edges[links[id].edge]);
       }
-      const auto it = best_g.find(next.layout);
-      if (it != best_g.end() && it->second <= next.g) continue;
-      best_g[next.layout] = next.g;
-      next.swaps.push_back({a, b});
-      next.f = next.g + heuristic(next.layout);
-      open.push(std::move(next));
+      std::reverse(swaps.begin(), swaps.end());
+      return swaps;
+    }
+    if (++expansions > max_expansions) break;
+    for (std::uint32_t e = 0; e < edges.size(); ++e) {
+      const auto [a, b] = edges[e];
+      // Write the child at the end of the arena; drop it again unless it
+      // improves on its layout's best cost.
+      const auto id = static_cast<std::uint32_t>(links.size());
+      layouts.resize(layouts.size() + n);
+      const int* parent = layout_of(cur.id);
+      int* child = layout_of(id);
+      for (std::size_t i = 0; i < n; ++i) {
+        child[i] = parent[i] == a ? b : (parent[i] == b ? a : parent[i]);
+      }
+      const long long g = cur.g + swap_cost;
+      if (const auto [it, inserted] = best_g.try_emplace(id, g); !inserted) {
+        if (it->second <= g) {
+          layouts.resize(layouts.size() - n);
+          continue;
+        }
+        it->second = g;
+      }
+      if (links.size() >= max_nodes) budget_exhausted();
+      links.push_back({cur.id, e});
+      open.push({g + heuristic(child), g, id});
     }
   }
-  throw std::invalid_argument("map_astar: search budget exhausted for a layer");
+  budget_exhausted();
 }
 
 }  // namespace

@@ -30,7 +30,9 @@ struct AStarOptions {
 
 /// Maps `circuit` to `cm`; engine_name is "astar", status Feasible.
 /// \throws std::invalid_argument on oversized circuits, disconnected
-/// coupling graphs, or when a layer exhausts `max_expansions`.
+/// coupling graphs, or when a layer exhausts `max_expansions` or the fixed
+/// 128 MiB bound on one layer's live search memory ("search budget
+/// exhausted" either way).
 [[nodiscard]] exact::MappingResult map_astar(const Circuit& circuit, const arch::CouplingMap& cm,
                                              const AStarOptions& options = {});
 

@@ -50,10 +50,22 @@ struct PassResult {
   int reversed = 0;
 };
 
-PassResult run_pass(const Circuit& circuit, const arch::CouplingMap& cm,
-                    const arch::DistanceMatrix& dist, const SabreOptions& opt,
-                    std::vector<int> layout, Rng& rng, Circuit* emit, Circuit* skeleton) {
-  const Dag dag(circuit);
+/// Undirected hop counts of `dist` as one flat m*m table, read through the
+/// checked DistanceMatrix::hops() once per map.
+std::vector<int> hop_table(const arch::DistanceMatrix& dist) {
+  const int m = dist.size();
+  std::vector<int> hops;
+  hops.reserve(static_cast<std::size_t>(m) * static_cast<std::size_t>(m));
+  for (int u = 0; u < m; ++u) {
+    for (int v = 0; v < m; ++v) hops.push_back(dist.hops(u, v));
+  }
+  return hops;
+}
+
+PassResult run_pass(const Dag& dag, const arch::CouplingMap& cm, const std::vector<int>& hops,
+                    const SabreOptions& opt, std::vector<int> layout, Rng& rng, Circuit* emit,
+                    Circuit* skeleton) {
+  const Circuit& circuit = *dag.circuit;
   const int m = cm.num_physical();
   PassResult result;
   result.layout = std::move(layout);
@@ -68,9 +80,23 @@ PassResult run_pass(const Circuit& circuit, const arch::CouplingMap& cm,
   int swaps_since_progress = 0;
   const int livelock_limit = 10 * m * m + 50;
 
+  // Per-step buffers, reused so a SWAP decision allocates nothing.
+  std::vector<std::size_t> current;
+  std::vector<std::size_t> blocked;
+  std::vector<std::pair<int, int>> front_pairs;
+  std::vector<std::pair<int, int>> extended;
+  std::vector<std::size_t> wave;
+  std::vector<std::size_t> next_wave;
+  std::vector<std::size_t> lookahead_undo;  // preds decremented by the lookahead
+  std::vector<int> front_owner(static_cast<std::size_t>(m), -1);  // physical -> front pair
+  const auto hops_at = [&](int u, int v) {
+    return hops[static_cast<std::size_t>(u) * static_cast<std::size_t>(m) +
+                static_cast<std::size_t>(v)];
+  };
+
   const auto coupled_under = [&](const Gate& g, const std::vector<int>& lay) {
-    return cm.coupled(lay[static_cast<std::size_t>(g.control)],
-                      lay[static_cast<std::size_t>(g.target)]);
+    return hops_at(lay[static_cast<std::size_t>(g.control)],
+                   lay[static_cast<std::size_t>(g.target)]) == 1;
   };
 
   const auto schedule = [&](std::size_t gi) {
@@ -112,8 +138,8 @@ PassResult run_pass(const Circuit& circuit, const arch::CouplingMap& cm,
   while (!front.empty()) {
     // Schedule everything executable in the current front.
     bool progressed = false;
-    std::vector<std::size_t> blocked;
-    std::vector<std::size_t> current = std::move(front);
+    blocked.clear();
+    std::swap(current, front);
     front.clear();
     for (const std::size_t gi : current) {
       const Gate& g = circuit.gate(gi);
@@ -139,10 +165,10 @@ PassResult run_pass(const Circuit& circuit, const arch::CouplingMap& cm,
       const int pc = result.layout[static_cast<std::size_t>(g.control)];
       const int pt = result.layout[static_cast<std::size_t>(g.target)];
       int best_nb = -1;
-      int best_d = dist.hops(pc, pt);
+      int best_d = hops_at(pc, pt);
       for (const int nb : cm.neighbours(pc)) {
-        if (dist.hops(nb, pt) < best_d) {
-          best_d = dist.hops(nb, pt);
+        if (hops_at(nb, pt) < best_d) {
+          best_d = hops_at(nb, pt);
           best_nb = nb;
         }
       }
@@ -151,63 +177,70 @@ PassResult run_pass(const Circuit& circuit, const arch::CouplingMap& cm,
       continue;
     }
 
-    // Extended set: the next CNOTs reachable behind the front.
-    std::vector<std::pair<int, int>> front_pairs;
+    // Extended set: the next CNOTs reachable behind the front. The wave
+    // walk decrements `preds` in place and restores it from an undo list.
+    front_pairs.clear();
     for (const std::size_t gi : front) {
       front_pairs.emplace_back(circuit.gate(gi).control, circuit.gate(gi).target);
     }
-    std::vector<std::pair<int, int>> extended;
-    {
-      std::vector<int> tmp_preds = preds;
-      std::vector<std::size_t> wave = front;
-      while (!wave.empty() && static_cast<int>(extended.size()) < opt.extended_set_size) {
-        std::vector<std::size_t> next_wave;
-        for (const std::size_t gi : wave) {
-          for (const std::size_t succ : dag.succs[gi]) {
-            if (--tmp_preds[succ] == 0) {
-              next_wave.push_back(succ);
-              const Gate& g = circuit.gate(succ);
-              if (g.is_cnot()) extended.emplace_back(g.control, g.target);
-            }
+    extended.clear();
+    wave.assign(front.begin(), front.end());
+    while (!wave.empty() && static_cast<int>(extended.size()) < opt.extended_set_size) {
+      next_wave.clear();
+      for (const std::size_t gi : wave) {
+        for (const std::size_t succ : dag.succs[gi]) {
+          lookahead_undo.push_back(succ);
+          if (--preds[succ] == 0) {
+            next_wave.push_back(succ);
+            const Gate& g = circuit.gate(succ);
+            if (g.is_cnot()) extended.emplace_back(g.control, g.target);
           }
         }
-        wave = std::move(next_wave);
       }
+      std::swap(wave, next_wave);
     }
+    for (const std::size_t gi : lookahead_undo) ++preds[gi];
+    lookahead_undo.clear();
 
-    const auto pair_distance = [&](const std::vector<int>& lay,
-                                   const std::vector<std::pair<int, int>>& pairs) {
-      double d = 0;
-      for (const auto& [qc, qt] : pairs) {
-        d += dist.hops(lay[static_cast<std::size_t>(qc)], lay[static_cast<std::size_t>(qt)]);
-      }
-      return d;
-    };
+    // Front gates act on distinct qubits, so each physical qubit hosts at
+    // most one front pair. Hop counts are small integers, so summing them
+    // as int and converting once gives the same double as a floating-point
+    // sum in any order.
+    int front_distance = 0;
+    for (std::size_t k = 0; k < front_pairs.size(); ++k) {
+      const int pc = result.layout[static_cast<std::size_t>(front_pairs[k].first)];
+      const int pt = result.layout[static_cast<std::size_t>(front_pairs[k].second)];
+      front_owner[static_cast<std::size_t>(pc)] = static_cast<int>(k);
+      front_owner[static_cast<std::size_t>(pt)] = static_cast<int>(k);
+      front_distance += hops_at(pc, pt);
+    }
 
     // Candidate swaps: edges touching any qubit of a blocked front pair.
     double best_score = 0;
     std::pair<int, int> best_edge{-1, -1};
     int candidates = 0;
     for (const auto& [a, b] : cm.undirected_edges()) {
-      bool relevant = false;
-      for (const auto& [qc, qt] : front_pairs) {
-        const int pc = result.layout[static_cast<std::size_t>(qc)];
-        const int pt = result.layout[static_cast<std::size_t>(qt)];
-        if (a == pc || a == pt || b == pc || b == pt) relevant = true;
-      }
-      if (!relevant) continue;
-      std::vector<int> trial = result.layout;
-      for (auto& p : trial) {
-        if (p == a) {
-          p = b;
-        } else if (p == b) {
-          p = a;
-        }
-      }
-      double score = pair_distance(trial, front_pairs);
+      const int ka = front_owner[static_cast<std::size_t>(a)];
+      const int kb = front_owner[static_cast<std::size_t>(b)];
+      if (ka < 0 && kb < 0) continue;
+      const auto moved_distance = [&, a = a, b = b](const std::pair<int, int>& pr) {
+        const auto moved = [a, b](int x) { return x == a ? b : (x == b ? a : x); };
+        return hops_at(moved(result.layout[static_cast<std::size_t>(pr.first)]),
+                       moved(result.layout[static_cast<std::size_t>(pr.second)]));
+      };
+      const auto pair_delta = [&](int k) {
+        const auto& pr = front_pairs[static_cast<std::size_t>(k)];
+        return moved_distance(pr) - hops_at(result.layout[static_cast<std::size_t>(pr.first)],
+                                            result.layout[static_cast<std::size_t>(pr.second)]);
+      };
+      int front_after = front_distance;
+      if (ka >= 0) front_after += pair_delta(ka);
+      if (kb >= 0 && kb != ka) front_after += pair_delta(kb);
+      double score = front_after;
       if (!extended.empty()) {
-        score += opt.extended_set_weight * pair_distance(trial, extended) /
-                 static_cast<double>(extended.size());
+        int extended_after = 0;
+        for (const auto& pr : extended) extended_after += moved_distance(pr);
+        score += opt.extended_set_weight * extended_after / static_cast<double>(extended.size());
       }
       score *= std::max(decay[static_cast<std::size_t>(a)], decay[static_cast<std::size_t>(b)]);
       // Small random jitter for tie-breaking.
@@ -217,6 +250,10 @@ PassResult run_pass(const Circuit& circuit, const arch::CouplingMap& cm,
         best_edge = {a, b};
       }
       ++candidates;
+    }
+    for (const auto& [qc, qt] : front_pairs) {
+      front_owner[static_cast<std::size_t>(result.layout[static_cast<std::size_t>(qc)])] = -1;
+      front_owner[static_cast<std::size_t>(result.layout[static_cast<std::size_t>(qt)])] = -1;
     }
     if (best_edge.first < 0) throw std::logic_error("map_sabre: no candidate swap");
     decay[static_cast<std::size_t>(best_edge.first)] += opt.decay;
@@ -260,9 +297,12 @@ exact::MappingResult map_sabre(const Circuit& circuit, const arch::CouplingMap& 
 
   const auto dist_handle = arch::SwapCostCache::instance().distances(cm);
   const arch::DistanceMatrix& dist = *dist_handle;
+  const std::vector<int> hops = hop_table(dist);
   const exact::CostModel costs = options.costs.resolved(cm);
   Rng rng(options.seed);
   const Circuit rev = reversed(circuit);
+  const Dag forward(circuit);
+  const Dag backward(rev);
 
   // Bidirectional warm-up: forward and backward passes refine the layout.
   std::vector<int> layout(static_cast<std::size_t>(n));
@@ -270,8 +310,8 @@ exact::MappingResult map_sabre(const Circuit& circuit, const arch::CouplingMap& 
   for (int round = 0; round < options.bidirectional_rounds; ++round) {
     obs::Span iter("heuristic.iteration", "heuristic");
     iter.attr("round", static_cast<long long>(round));
-    layout = run_pass(circuit, cm, dist, options, std::move(layout), rng, nullptr, nullptr).layout;
-    layout = run_pass(rev, cm, dist, options, std::move(layout), rng, nullptr, nullptr).layout;
+    layout = run_pass(forward, cm, hops, options, std::move(layout), rng, nullptr, nullptr).layout;
+    layout = run_pass(backward, cm, hops, options, std::move(layout), rng, nullptr, nullptr).layout;
   }
 
   exact::MappingResult res;
@@ -281,7 +321,7 @@ exact::MappingResult map_sabre(const Circuit& circuit, const arch::CouplingMap& 
   res.routed_skeleton = Circuit(m, circuit.name() + "/routed-skeleton");
   res.initial_layout = layout;
 
-  const PassResult final_pass = run_pass(circuit, cm, dist, options, std::move(layout), rng,
+  const PassResult final_pass = run_pass(forward, cm, hops, options, std::move(layout), rng,
                                          &res.mapped, &res.routed_skeleton);
   res.final_layout = final_pass.layout;
   res.swaps_inserted = final_pass.swaps;

@@ -70,73 +70,126 @@ bool layer_executable(const std::vector<int>& layout, const std::vector<Gate>& g
   });
 }
 
-/// One randomized greedy trial (the core of Qiskit 0.4's layer_permutation):
-/// returns the SWAP edge list making all `pairs` adjacent, or nullopt.
-std::optional<std::vector<std::pair<int, int>>> trial_search(
-    const std::vector<std::pair<int, int>>& logical_pairs, std::vector<int> layout,
-    const arch::CouplingMap& cm, const arch::DistanceMatrix& dist, Rng& rng) {
-  const int m = cm.num_physical();
-  // Perturbed squared-distance cost matrix (multiplicative noise, as in the
-  // original randomized algorithm).
-  std::vector<double> xi(static_cast<std::size_t>(m) * static_cast<std::size_t>(m));
-  for (int u = 0; u < m; ++u) {
-    for (int v = 0; v < m; ++v) {
-      const double d = dist.hops(u, v);
-      const double noise = 1.0 + 0.2 * (rng.next_double() - 0.5);
-      xi[static_cast<std::size_t>(u) * static_cast<std::size_t>(m) + static_cast<std::size_t>(v)] =
-          noise * d * d;
+/// Buffers shared by every trial of one map, sized once so the trial and
+/// candidate loops allocate nothing.
+struct TrialScratch {
+  TrialScratch(const arch::CouplingMap& cm, const arch::DistanceMatrix& dist)
+      : m(cm.num_physical()),
+        hops(static_cast<std::size_t>(m) * static_cast<std::size_t>(m)),
+        draws(hops.size()),
+        owner(static_cast<std::size_t>(m), -1) {
+    for (int u = 0; u < m; ++u) {
+      for (int v = 0; v < m; ++v) hops[at(u, v)] = dist.hops(u, v);
     }
   }
-  const auto cost_of = [&](const std::vector<int>& lay) {
-    double c = 0;
-    for (const auto& [qc, qt] : logical_pairs) {
-      c += xi[static_cast<std::size_t>(lay[static_cast<std::size_t>(qc)]) *
-                  static_cast<std::size_t>(m) +
-              static_cast<std::size_t>(lay[static_cast<std::size_t>(qt)])];
+
+  [[nodiscard]] std::size_t at(int u, int v) const {
+    return static_cast<std::size_t>(u) * static_cast<std::size_t>(m) + static_cast<std::size_t>(v);
+  }
+
+  /// Perturbed squared distance of the current trial (multiplicative noise,
+  /// as in the original randomized algorithm). Only the entries a trial
+  /// reads are converted from their draws.
+  [[nodiscard]] double xi(int u, int v) const {
+    const double d = hops[at(u, v)];
+    const double noise = 1.0 + 0.2 * (Rng::to_double(draws[at(u, v)]) - 0.5);
+    return noise * d * d;
+  }
+
+  int m;
+  std::vector<double> hops;                // m*m hop counts, built once per map
+  std::vector<std::uint64_t> draws;        // m*m noise draws of the current trial
+  std::vector<int> layout;                 // logical -> physical of the current trial
+  std::vector<int> owner;                  // physical -> index of the pair placed there, or -1
+  std::vector<double> terms;               // terms[k] = xi of pair k under `layout`
+  std::vector<double> prefix;              // prefix[k] = ordered sum of terms[0..k)
+  std::vector<std::pair<int, int>> swaps;  // SWAP edges of the current trial
+};
+
+/// One randomized greedy trial (the core of Qiskit 0.4's layer_permutation):
+/// leaves in `s.swaps` a SWAP edge list making all `pairs` adjacent and
+/// returns true, or returns false.
+///
+/// The layout cost is the sum of the pairs' terms in pair order. A candidate
+/// SWAP is scored by re-adding that sum from its first changed term on, so
+/// every score is bitwise the full rescan of the swapped layout. The pairs
+/// act on distinct logical qubits, so a SWAP changes at most two terms; one
+/// that touches no paired qubit keeps the incumbent's cost exactly and the
+/// strict `<` can never pick it, so it is skipped.
+bool trial_search(const std::vector<std::pair<int, int>>& pairs,
+                  const std::vector<int>& start_layout, const arch::CouplingMap& cm,
+                  TrialScratch& s, Rng& rng) {
+  const int m = s.m;
+  // One noise draw per ordered physical pair, in row-major order.
+  for (auto& draw : s.draws) draw = rng.next_u64();
+
+  const int p = static_cast<int>(pairs.size());
+  const auto phys = [&](int q) { return s.layout[static_cast<std::size_t>(q)]; };
+  s.layout = start_layout;
+  s.terms.resize(static_cast<std::size_t>(p));
+  s.prefix.resize(static_cast<std::size_t>(p) + 1);
+  for (int k = 0; k < p; ++k) {
+    s.owner[static_cast<std::size_t>(phys(pairs[static_cast<std::size_t>(k)].first))] = k;
+    s.owner[static_cast<std::size_t>(phys(pairs[static_cast<std::size_t>(k)].second))] = k;
+  }
+  const auto rescore = [&] {
+    for (std::size_t k = 0; k < pairs.size(); ++k) {
+      s.terms[k] = s.xi(phys(pairs[k].first), phys(pairs[k].second));
+      s.prefix[k + 1] = s.prefix[k] + s.terms[k];
     }
-    return c;
   };
-  const auto done = [&](const std::vector<int>& lay) {
-    return std::all_of(logical_pairs.begin(), logical_pairs.end(), [&](const auto& pr) {
-      return cm.coupled(lay[static_cast<std::size_t>(pr.first)],
-                        lay[static_cast<std::size_t>(pr.second)]);
+  const auto done = [&] {
+    return std::all_of(pairs.begin(), pairs.end(), [&](const auto& pr) {
+      return s.hops[s.at(phys(pr.first), phys(pr.second))] == 1.0;
     });
   };
+  const auto finish = [&](bool found) {
+    for (const auto& [qc, qt] : pairs) {
+      s.owner[static_cast<std::size_t>(phys(qc))] = -1;
+      s.owner[static_cast<std::size_t>(phys(qt))] = -1;
+    }
+    return found;
+  };
 
-  std::vector<std::pair<int, int>> swaps;
-  double cost = cost_of(layout);
+  s.swaps.clear();
+  s.prefix[0] = 0;
+  rescore();
   const int max_steps = 2 * m * m;
   for (int step = 0; step < max_steps; ++step) {
-    if (done(layout)) return swaps;
-    double best_cost = cost;
+    if (done()) return finish(true);
+    double best_cost = s.prefix[static_cast<std::size_t>(p)];
     std::pair<int, int> best_edge{-1, -1};
     for (const auto& [a, b] : cm.undirected_edges()) {
-      std::vector<int> candidate = layout;
-      for (auto& p : candidate) {
-        if (p == a) {
-          p = b;
-        } else if (p == b) {
-          p = a;
-        }
+      const int ka = s.owner[static_cast<std::size_t>(a)];
+      const int kb = s.owner[static_cast<std::size_t>(b)];
+      if (ka < 0 && kb < 0) continue;
+      const auto moved = [a = a, b = b](int x) { return x == a ? b : (x == b ? a : x); };
+      const int first = ka < 0 ? kb : (kb < 0 ? ka : std::min(ka, kb));
+      double c = s.prefix[static_cast<std::size_t>(first)];
+      for (int k = first; k < p; ++k) {
+        const auto& [qc, qt] = pairs[static_cast<std::size_t>(k)];
+        c += (k == ka || k == kb) ? s.xi(moved(phys(qc)), moved(phys(qt)))
+                                  : s.terms[static_cast<std::size_t>(k)];
       }
-      const double c = cost_of(candidate);
       if (c < best_cost) {
         best_cost = c;
         best_edge = {a, b};
       }
     }
-    if (best_edge.first < 0) return std::nullopt;  // local minimum: trial failed
-    swaps.push_back(best_edge);
-    for (auto& p : layout) {
-      if (p == best_edge.first) {
-        p = best_edge.second;
-      } else if (p == best_edge.second) {
-        p = best_edge.first;
+    if (best_edge.first < 0) return finish(false);  // local minimum: trial failed
+    const auto [a, b] = best_edge;
+    s.swaps.push_back(best_edge);
+    for (auto& q : s.layout) {
+      if (q == a) {
+        q = b;
+      } else if (q == b) {
+        q = a;
       }
     }
-    cost = cost_of(layout);
+    std::swap(s.owner[static_cast<std::size_t>(a)], s.owner[static_cast<std::size_t>(b)]);
+    rescore();
   }
-  return std::nullopt;
+  return finish(false);
 }
 
 /// Deterministic fallback for a single blocked CNOT: walk the control along
@@ -173,24 +226,29 @@ std::vector<std::pair<int, int>> route_single(const std::vector<int>& layout, in
 
 /// Routes + emits one group of gates (a layer or a serialized single gate).
 void process_group(RunState& st, const std::vector<Gate>& gates, const arch::CouplingMap& cm,
-                   const arch::DistanceMatrix& dist, Rng& rng, int trials) {
+                   const arch::DistanceMatrix& dist, TrialScratch& scratch, Rng& rng,
+                   int trials) {
   std::vector<std::pair<int, int>> pairs;
   for (const auto& g : gates) {
     if (g.is_cnot()) pairs.emplace_back(g.control, g.target);
   }
   if (!pairs.empty() && !layer_executable(st.layout, gates, cm)) {
-    std::optional<std::vector<std::pair<int, int>>> best;
+    bool found = false;
+    std::vector<std::pair<int, int>> best;
     for (int t = 0; t < trials; ++t) {
-      auto trial = trial_search(pairs, st.layout, cm, dist, rng);
-      if (trial && (!best || trial->size() < best->size())) best = std::move(trial);
+      if (trial_search(pairs, st.layout, cm, scratch, rng) &&
+          (!found || scratch.swaps.size() < best.size())) {
+        std::swap(best, scratch.swaps);
+        found = true;
+      }
     }
-    if (!best && pairs.size() > 1) {
+    if (!found && pairs.size() > 1) {
       // Serialize the layer: route and emit gate by gate.
-      for (const auto& g : gates) process_group(st, {g}, cm, dist, rng, trials);
+      for (const auto& g : gates) process_group(st, {g}, cm, dist, scratch, rng, trials);
       return;
     }
-    if (!best) best = route_single(st.layout, pairs[0].first, pairs[0].second, cm, dist);
-    for (const auto& [a, b] : *best) apply_swap(st, cm, a, b);
+    if (!found) best = route_single(st.layout, pairs[0].first, pairs[0].second, cm, dist);
+    for (const auto& [a, b] : best) apply_swap(st, cm, a, b);
   }
   for (const auto& g : gates) emit_gate(st, cm, g);
 }
@@ -231,6 +289,7 @@ exact::MappingResult map_stochastic_swap(const Circuit& circuit, const arch::Cou
 
   std::optional<RunState> best;
   std::vector<int> best_initial;
+  TrialScratch scratch(cm, dist);
   Rng rng(options.seed);
   for (int run = 0; run < options.runs; ++run) {
     obs::Span iter("heuristic.iteration", "heuristic");
@@ -248,7 +307,7 @@ exact::MappingResult map_stochastic_swap(const Circuit& circuit, const arch::Cou
       std::vector<Gate> gates;
       gates.reserve(layer.size());
       for (const std::size_t gi : layer) gates.push_back(circuit.gate(gi));
-      process_group(st, gates, cm, dist, rng, options.trials);
+      process_group(st, gates, cm, dist, scratch, rng, options.trials);
     }
     iter.attr("cost", costs.result_cost(st.swaps, st.reversed));
     // Best-of-runs selection under the requested objective (ties keep the

@@ -1,15 +1,21 @@
 #include "heuristic/astar_mapper.hpp"
 #include "heuristic/layer_weight_mapper.hpp"
+#include "heuristic/sabre_mapper.hpp"
 #include "heuristic/stochastic_swap.hpp"
 
 #include <gtest/gtest.h>
+
+#include <cstdio>
+#include <functional>
 
 #include "arch/architectures.hpp"
 #include "arch/swap_costs.hpp"
 #include "bench_circuits/generators.hpp"
 #include "bench_circuits/table1_suite.hpp"
+#include "common/rng.hpp"
 #include "exact/reference_search.hpp"
 #include "exact/swap_synthesis.hpp"
+#include "qasm/writer.hpp"
 #include "sim/equivalence.hpp"
 
 namespace qxmap {
@@ -153,6 +159,20 @@ TEST(AStar, SearchBudgetRespected) {
   EXPECT_THROW(map_astar(c, arch::ibm_qx5(), opt), std::invalid_argument);
 }
 
+TEST(AStar, UnclosableLayerFailsWithinTheMemoryBudget) {
+  // hex27 at 20 logical qubits: the layer search cannot close some layers.
+  // Unbounded, it grows until std::bad_alloc or an OOM kill; it must stop
+  // at the fixed memory budget with the typed error instead.
+  const Circuit c = bench::su4_random_circuit(20, 4, 3, "hex27-20q");
+  try {
+    (void)map_astar(c, arch::ibm_hex27());
+    ADD_FAILURE() << "expected the search budget to run out";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("search budget exhausted"), std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(LayerWeight, MapsTable1StyleCircuits) {
   const auto cm = arch::ibm_qx4();
   for (std::uint64_t seed = 1; seed <= 5; ++seed) {
@@ -235,6 +255,85 @@ TEST(Heuristics, ExactBeatsOrTiesHeuristicsEverywhere) {
     const long long minimum = certified_minimum(c, cm);
     EXPECT_LE(minimum, map_stochastic_swap(c, cm).cost_f);
     EXPECT_LE(minimum, map_astar(c, cm).cost_f);
+  }
+}
+
+// Golden outputs. The heuristics' RNG draw order and candidate evaluation
+// order are part of their output (docs/architecture.md), so a speed-up of
+// their inner loops must leave every mapped circuit byte-identical. Each
+// digest is FNV-1a over the written QASM, the SWAP/reversal counts and both
+// layouts, as produced by the copy-per-candidate scoring loops.
+std::string golden_digest(const exact::MappingResult& r) {
+  std::string s = qasm::write(r.mapped);
+  s += "swaps ";
+  s += std::to_string(r.swaps_inserted);
+  s += " reversed ";
+  s += std::to_string(r.cnots_reversed);
+  for (const auto* layout : {&r.initial_layout, &r.final_layout}) {
+    s += layout == &r.initial_layout ? "\ninitial" : "\nfinal";
+    for (const int p : *layout) {
+      s += ' ';
+      s += std::to_string(p);
+    }
+  }
+  char hex[17];
+  std::snprintf(hex, sizeof hex, "%016llx",
+                static_cast<unsigned long long>(Rng::seed_from_string(s)));
+  return hex;
+}
+
+struct GoldenCase {
+  const char* name;
+  std::function<exact::MappingResult()> map;
+  const char* digest;
+};
+
+TEST(HeuristicGolden, OutputsAreByteIdenticalToRecordedDigests) {
+  const auto tokyo = arch::ibm_tokyo();
+  const auto hex27 = arch::ibm_hex27();
+  const auto hex65 = arch::ibm_hex65();
+  const auto su4 = [](int n, int layers, std::uint64_t seed) {
+    return bench::su4_random_circuit(n, layers, seed, "golden");
+  };
+  const auto stochastic = [](int runs, exact::CostObjective objective) {
+    StochasticSwapOptions o;
+    o.runs = runs;
+    o.costs.objective = objective;
+    return o;
+  };
+  const auto gate_count = exact::CostObjective::GateCount;
+  const auto error_weighted = exact::CostObjective::ErrorWeighted;
+  const std::vector<GoldenCase> cases = {
+      {"stochastic tokyo 20q",
+       [&] { return map_stochastic_swap(su4(20, 4, 1), tokyo, stochastic(1, gate_count)); },
+       "400b8d8b29d4cc94"},
+      {"stochastic tokyo 20q runs=5 error-weighted",
+       [&] { return map_stochastic_swap(su4(20, 3, 2), tokyo, stochastic(5, error_weighted)); },
+       "f8be0de63202d3a0"},
+      {"stochastic hex27 20q",
+       [&] { return map_stochastic_swap(su4(20, 4, 3), hex27, stochastic(1, gate_count)); },
+       "7742a968c3e6c729"},
+      {"stochastic hex27 27q runs=5",
+       [&] { return map_stochastic_swap(su4(27, 3, 4), hex27, stochastic(5, gate_count)); },
+       "645b8df426e0d895"},
+      {"stochastic hex27 20q runs=5 error-weighted",
+       [&] { return map_stochastic_swap(su4(20, 3, 5), hex27, stochastic(5, error_weighted)); },
+       "2310d2be6e572e3d"},
+      {"stochastic hex65 48q",
+       [&] { return map_stochastic_swap(su4(48, 2, 6), hex65, stochastic(1, gate_count)); },
+       "a05735e03521c279"},
+      {"sabre tokyo 20q", [&] { return heuristic::map_sabre(su4(20, 4, 7), tokyo); },
+       "141c4364d8b04b17"},
+      {"sabre hex27 27q", [&] { return heuristic::map_sabre(su4(27, 4, 8), hex27); },
+       "fb6c85104e768205"},
+      {"sabre hex65 65q", [&] { return heuristic::map_sabre(su4(65, 3, 9), hex65); },
+       "c37fb31a07ed7557"},
+      {"astar tokyo 16q", [&] { return map_astar(su4(16, 4, 10), tokyo); }, "0e7ffa5607790e50"},
+  };
+  for (const auto& c : cases) {
+    const auto res = c.map();
+    EXPECT_TRUE(res.verified) << c.name;
+    EXPECT_EQ(golden_digest(res), c.digest) << c.name;
   }
 }
 
