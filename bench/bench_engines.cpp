@@ -49,7 +49,7 @@ void BM_CdclOptimizationMode(benchmark::State& state) {
     state.PauseTiming();
     Rng rng(7);
     reason::CdclEngine engine;
-    engine.set_mode(mode);
+    engine.set_optimization_mode(mode);
     for (int v = 0; v < num_vars; ++v) engine.new_bool();
     for (int c = 0; c < 2 * num_vars; ++c) {
       std::vector<int> clause;

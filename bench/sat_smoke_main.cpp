@@ -3,7 +3,10 @@
 /// committed BENCH_table1.json at the committed budget and fails (exit 1)
 /// if any of them no longer proves or any proven cost drifts. Proven costs
 /// are deterministic (docs/benchmarks.md), so a drift is a correctness
-/// event; a lost proof is a solver-performance regression.
+/// event; a lost proof is a solver-performance regression. Every re-proved
+/// objective is also checked against the in-tree DP oracle
+/// (exact/reference_search.hpp), so a wrong `proven` verdict fails the gate
+/// even when it repeats the baseline cost.
 ///
 /// Usage: bench_sat_smoke [--smoke] [--baseline PATH] [--budget-ms N]
 ///                        [--mode descending|binary|both]
@@ -28,8 +31,11 @@
 #include <vector>
 
 #include "arch/architectures.hpp"
+#include "arch/subsets.hpp"
 #include "bench_circuits/table1_suite.hpp"
 #include "exact/exact_mapper.hpp"
+#include "exact/reference_search.hpp"
+#include "exact/strategies.hpp"
 #include "reason/engine.hpp"
 
 namespace {
@@ -94,6 +100,37 @@ Baseline load_baseline(const std::string& path) {
   return b;
 }
 
+/// Checks a proven objective against the DP oracle, an independent code
+/// path: it must equal the optimum over the connected n-subsets the mapper
+/// solved (Sec. 4.1) and can never beat the full-architecture optimum.
+/// Returns what failed, or an empty string.
+std::string dp_check(const Circuit& circuit, const arch::CouplingMap& cm,
+                     const exact::ExactOptions& opt, long long objective) {
+  std::vector<Gate> cnots;
+  for (const Gate& g : circuit) {
+    if (g.is_cnot()) cnots.push_back(g);
+  }
+  const int n = circuit.num_qubits();
+  const exact::CostModel costs = opt.costs.resolved(cm);
+  const auto points = exact::permutation_points(cnots, opt.strategy, cm);
+  long long subset_best = -1;
+  for (const auto& subset : arch::connected_subsets(cm, n)) {
+    const auto r = exact::minimal_cost_reference(cnots, n, cm.induced(subset), points, costs);
+    if (r.feasible && (subset_best < 0 || r.cost_f < subset_best)) subset_best = r.cost_f;
+  }
+  const auto full = exact::minimal_cost_reference(cnots, n, cm, points, costs);
+  if (objective != subset_best) {
+    return "objective " + std::to_string(objective) + " != subset DP optimum " +
+           std::to_string(subset_best);
+  }
+  if (!full.feasible) return "the full-architecture DP finds no mapping";
+  if (objective < full.cost_f) {
+    return "objective " + std::to_string(objective) + " beats the full-architecture DP optimum " +
+           std::to_string(full.cost_f);
+  }
+  return {};
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -146,13 +183,18 @@ int main(int argc, char** argv) {
       if (!row.proven) continue;  // budget-bound rows are timing-dependent
       ++checked;
       const Circuit circuit = bench::table1_benchmark(row.circuit).build();
-      const auto res = exact::map_exact(circuit, arch::ibm_qx4(), opt);
+      const arch::CouplingMap cm = arch::ibm_qx4();
+      const auto res = exact::map_exact(circuit, cm, opt);
       const bool proven = res.status == reason::Status::Optimal;
       const auto cost = static_cast<long long>(res.mapped.size());
-      const bool ok = proven && cost == row.cost;
+      const std::string dp_error = proven ? dp_check(circuit, cm, opt, res.objective_cost) : "";
+      const bool ok = proven && cost == row.cost && dp_error.empty();
       std::cout << (ok ? "  ok   " : "  FAIL ") << row.circuit << " [" << mode_name
                 << "]: cost " << cost << " (baseline " << row.cost << "), "
                 << (proven ? "proven" : "NOT proven") << ", "
+                << (!proven ? std::string("DP skipped")
+                    : dp_error.empty() ? std::string("DP ok") : "DP: " + dp_error)
+                << ", "
                 << static_cast<long long>(res.seconds * 1000.0) << " ms\n";
       if (!ok) ++failed;
     }

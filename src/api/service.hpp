@@ -11,10 +11,9 @@
 ///    canonical request identity: the circuit's content fingerprint
 ///    (ir/fingerprint.hpp), the architecture's structural fingerprint
 ///    (`arch::CouplingMap::fingerprint()`), and a digest over every
-///    result-affecting option. Performance knobs that are documented *not*
-///    to change results — `num_threads`, `work_stealing`,
-///    `cooperative_tightening` — are excluded from the digest, so a request
-///    at 8 threads hits the entry a 1-thread request populated. A cache hit
+///    result-affecting option. The one performance knob documented *not*
+///    to change results — `num_threads` — is excluded from the digest, so a
+///    request at 8 threads hits the entry a 1-thread request populated. A cache hit
 ///    returns a copy of the stored result with `from_cache = true` and the
 ///    mapped/skeleton circuit names restamped for the requesting circuit
 ///    (two same-fingerprint circuits may differ in name, which is not part

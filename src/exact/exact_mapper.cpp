@@ -2,14 +2,11 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cctype>
 #include <chrono>
-#include <cstdlib>
 #include <exception>
 #include <limits>
 #include <memory>
 #include <mutex>
-#include <numeric>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -233,62 +230,47 @@ std::size_t resolve_num_threads(int requested, std::size_t num_instances) {
   return std::min(threads, num_instances);
 }
 
-/// Resolves a scheduler Toggle: Auto defers to the named environment
-/// variable, where `off` / `0` / `false` (any case) disable and anything
-/// else — including unset — enables. See docs/concurrency.md.
-bool resolve_toggle(Toggle toggle, const char* env_name) {
-  if (toggle == Toggle::On) return true;
-  if (toggle == Toggle::Off) return false;
-  const char* value = std::getenv(env_name);
-  if (value == nullptr) return true;
-  std::string v(value);
-  for (char& c : v) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-  return !(v == "off" || v == "0" || v == "false");
-}
-
-/// Accumulates per-phase wall time for MappingResult::trace_summary. Only
-/// populated while tracing is enabled (checked once, at map_exact entry);
-/// shard-side phases sum across threads, so encode/solve can exceed the
-/// request's wall time under parallelism.
+/// Per-phase wall time for MappingResult::trace_summary, summed by the
+/// phase spans as they close (obs::Span's accumulator), so it fills only
+/// while tracing is enabled; a phase whose span opened while tracing was
+/// off reads 0. Shard-side phases sum across threads, so encode/solve can
+/// exceed the request's wall time under parallelism.
 struct PhaseTimes {
-  bool active = false;
+  std::atomic<std::uint64_t> subsets_ns{0};
+  std::atomic<std::uint64_t> warm_start_ns{0};
+  std::atomic<std::uint64_t> prefix_ns{0};
   std::atomic<std::uint64_t> encode_ns{0};
   std::atomic<std::uint64_t> solve_ns{0};
-  std::uint64_t subsets_ns = 0;
-  std::uint64_t warm_start_ns = 0;
-  std::uint64_t prefix_ns = 0;
-  std::uint64_t canonical_ns = 0;
-  std::uint64_t reconstruct_ns = 0;
-  std::uint64_t verify_ns = 0;
+  std::atomic<std::uint64_t> canonical_ns{0};
+  std::atomic<std::uint64_t> reconstruct_ns{0};
+  std::atomic<std::uint64_t> verify_ns{0};
 
-  [[nodiscard]] std::string table(std::uint64_t total_ns) const {
+  [[nodiscard]] std::string table(double total_seconds) const {
     const auto line = [](std::string name, std::uint64_t ns) {
       name.resize(18, ' ');
       const std::uint64_t tenth_ms = ns / 100000;
       return name + std::to_string(tenth_ms / 10) + "." + std::to_string(tenth_ms % 10) +
              " ms\n";
     };
+    const auto load = [](const std::atomic<std::uint64_t>& ns) {
+      return ns.load(std::memory_order_relaxed);
+    };
     std::string out;
-    out += line("subsets", subsets_ns);
-    out += line("warm_start", warm_start_ns);
-    out += line("prefix", prefix_ns);
-    out += line("encode*", encode_ns.load(std::memory_order_relaxed));
-    out += line("solve*", solve_ns.load(std::memory_order_relaxed));
-    out += line("canonical_resolve", canonical_ns);
-    out += line("reconstruct", reconstruct_ns);
-    out += line("verify", verify_ns);
-    out += line("total", total_ns);
+    out += line("subsets", load(subsets_ns));
+    out += line("warm_start", load(warm_start_ns));
+    out += line("prefix", load(prefix_ns));
+    out += line("encode*", load(encode_ns));
+    out += line("solve*", load(solve_ns));
+    out += line("canonical_resolve", load(canonical_ns));
+    out += line("reconstruct", load(reconstruct_ns));
+    out += line("verify", load(verify_ns));
+    out += line("total", static_cast<std::uint64_t>(total_seconds * 1e9));
     out += "(* summed across shard threads)\n";
     return out;
   }
 };
 
-std::uint64_t elapsed_ns(Clock::time_point since) {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() - since).count());
-}
-
-/// Hardness proxy per instance for the work-stealing priority order: the
+/// Hardness proxy per instance for the hardest-first priority order: the
 /// undirected edge count of the induced coupling subgraph. Sparse subsets
 /// need more SWAPs, so their descending search runs longest; starting them
 /// while the shared Eq. (5) bound is still loose maximises how much of
@@ -332,10 +314,7 @@ MappingResult map_exact(const Circuit& circuit, const arch::CouplingMap& cm,
   static obs::Counter& maps_total = obs::MetricsRegistry::instance().counter(
       "qxmap_exact_maps_total", "map_exact calls reaching the solver pipeline");
   maps_total.inc();
-  // Phase timing for MappingResult::trace_summary; decided once so a
-  // mid-request set_enabled flip cannot produce a half-filled table.
   PhaseTimes phases;
-  phases.active = obs::TraceRecorder::enabled();
 
   // CNOT skeleton.
   std::vector<Gate> cnots;
@@ -353,10 +332,9 @@ MappingResult map_exact(const Circuit& circuit, const arch::CouplingMap& cm,
   const auto points = permutation_points(cnots, options.strategy, cm);
 
   // Instance list (Sec. 4.1).
-  const auto subsets_t0 = Clock::now();
   std::vector<std::vector<int>> instances;
   if (options.use_subsets && n < m) {
-    obs::Span span("exact.subsets", "exact");
+    obs::Span span("exact.subsets", "exact", &phases.subsets_ns);
     instances = arch::connected_subsets(cm, n);
     span.attr("count", instances.size());
     if (instances.empty()) {
@@ -364,14 +342,18 @@ MappingResult map_exact(const Circuit& circuit, const arch::CouplingMap& cm,
     }
   } else {
     if (m > 8) {
-      throw std::invalid_argument(
-          "map_exact: architectures with m > 8 require use_subsets (Π enumeration)");
+      // Reached without use_subsets, or with it when n == m leaves no
+      // proper subset to pick: either way one instance spans all m qubits.
+      std::string message =
+          "map_exact: the full-architecture instance needs m <= 8 for Π enumeration, got m = ";
+      message += std::to_string(m);
+      if (n < m) message += "; set use_subsets to solve connected n-subsets instead";
+      throw std::invalid_argument(message);
     }
     std::vector<int> all(static_cast<std::size_t>(m));
     for (int i = 0; i < m; ++i) all[static_cast<std::size_t>(i)] = i;
     instances.push_back(std::move(all));
   }
-  if (phases.active) phases.subsets_ns = elapsed_ns(subsets_t0);
   map_span.attr("instances", instances.size());
 
   // Budget: one shared deadline for the whole instance sweep. Each shard
@@ -390,44 +372,45 @@ MappingResult map_exact(const Circuit& circuit, const arch::CouplingMap& cm,
   res.engine_name = reason::make_engine(options.engine)->name();
   res.permutation_points = static_cast<int>(points.size()) + 1;
   res.objective = to_string(costs.objective);
+  // Stamps the wall time and, while this request is traced, the phase table.
+  const auto finish = [&] {
+    res.seconds = std::chrono::duration<double>(Clock::now() - start).count();
+    if (map_span.active()) res.trace_summary = phases.table(res.seconds);
+  };
 
   // --- Shard the subset instances through the process-wide executor ------
   //
   // The full protocol — shard lifecycle, shared-bound memory ordering, the
-  // work-stealing pop order, and the determinism argument — is specified in
+  // hardest-first pop order, and the determinism argument — is specified in
   // docs/concurrency.md; the comments here are the short version.
   //
   // Each instance becomes one task on the shared ShardExecutor (so shards
   // of concurrent map() calls interleave through a single pool instead of
   // one pool per call); `options.num_threads` survives as this request's
-  // concurrency cap. Tasks pop in priority order (hardest-first under work
-  // stealing, subset-index order otherwise). Each executing thread owns its
-  // engine (the CDCL solver is not thread-safe), scoped to *this request*
-  // so the bound-source closures below never outlive the atomics they read.
-  // A shared atomic bound carries the best model cost found so far: shards
-  // start their Eq. (5) search with objective <= bound enforced, and — with
-  // cooperative tightening — keep polling it at engine checkpoints
-  // *mid-solve*, aborting branches that can no longer beat the incumbent.
+  // concurrency cap. Tasks pop hardest-first (instance_hardness). Each
+  // executing thread owns its engine (the CDCL solver is not thread-safe),
+  // scoped to *this request* so the bound-source closures below never
+  // outlive the atomics they read. A shared atomic bound carries the best
+  // model cost found so far: shards start their Eq. (5) search with
+  // objective <= bound enforced, and keep polling it at engine checkpoints
+  // *mid-solve* (cooperative tightening), aborting branches that can no
+  // longer beat the incumbent.
   //
   // Determinism: the reduction below selects the lowest cost with ties
   // broken on the lowest subset index. A shard's reported optimum is
   // independent of the bounds it observed (bounds are inclusive and never
   // drop below the final best cost), so the selected (cost, index) pair is
-  // bit-identical at every thread count and under either pop order; the
-  // winning *model* is then re-derived canonically after the reduction.
+  // bit-identical at every thread count and in any pop order; the winning
+  // *model* is then re-derived canonically after the reduction.
   // When a shard proves a zero-cost solution — the objective's lower
   // bound — instances at *higher* indices are skipped: they can at best tie
   // and lose the index tie-break. Lower indices still run, preserving the
   // tie-break winner.
   constexpr long long kNoBound = std::numeric_limits<long long>::max();
-  const bool steal = resolve_toggle(options.work_stealing, "QXMAP_EXACT_STEAL");
-  const bool tighten = resolve_toggle(options.cooperative_tightening, "QXMAP_EXACT_TIGHTEN");
-  std::vector<long long> priorities(instances.size());
-  if (steal && instances.size() > 1) {
-    priorities = instance_hardness(cm, instances);
-  } else {
-    std::iota(priorities.begin(), priorities.end(), 0LL);
-  }
+  // A lone instance keeps priority 0: it pops ahead of other requests'
+  // subset shards, whose priorities are edge counts.
+  std::vector<long long> priorities(instances.size(), 0);
+  if (instances.size() > 1) priorities = instance_hardness(cm, instances);
 
   // Warm start: with a single instance under the All strategy, the symbolic
   // formulation can express every swap schedule, so the greedy route's cost
@@ -435,14 +418,12 @@ MappingResult map_exact(const Circuit& circuit, const arch::CouplingMap& cm,
   std::optional<Reconstruction> warm;
   long long warm_cost = kNoBound;
   if (instances.size() == 1 && options.strategy == PermutationStrategy::All) {
-    const auto t0 = Clock::now();
-    obs::Span span("exact.warm_start", "exact");
+    obs::Span span("exact.warm_start", "exact", &phases.warm_start_ns);
     warm = greedy_route(circuit, cm);
     // The bound lives in resolved objective units, not emitted-gate units —
     // they differ under ErrorWeighted and under explicit weight overrides.
     warm_cost = costs.result_cost(warm->swaps, warm->reversed);
     span.attr("cost", warm_cost);
-    if (phases.active) phases.warm_start_ns = elapsed_ns(t0);
   }
 
   // Shared encoding prefix (Sec. 4.1): every subset instance of an n-qubit
@@ -454,10 +435,8 @@ MappingResult map_exact(const Circuit& circuit, const arch::CouplingMap& cm,
   // skipping the per-instance constraint derivation).
   std::optional<Encoding::Prefix> prefix;
   if (instances.size() > 1) {
-    const auto t0 = Clock::now();
-    obs::Span span("exact.prefix", "exact");
+    obs::Span span("exact.prefix", "exact", &phases.prefix_ns);
     prefix.emplace(Encoding::build_prefix(cnots, n, n, points));
-    if (phases.active) phases.prefix_ns = elapsed_ns(t0);
   }
 
   const std::size_t num_threads = resolve_num_threads(options.num_threads, instances.size());
@@ -514,21 +493,17 @@ MappingResult map_exact(const Circuit& circuit, const arch::CouplingMap& cm,
       engine.set_optimization_mode(options.optimization);
       std::optional<Encoding> enc;
       {
-        const auto t0 = Clock::now();
-        obs::Span span("exact.encode", "exact");
+        obs::Span span("exact.encode", "exact", &phases.encode_ns);
         span.attr("prefix_reused", holds_prefix);
         if (prefix) {
           enc.emplace(engine, *prefix, induced, *out.table, costs, holds_prefix);
         } else {
           enc.emplace(engine, cnots, n, induced, *out.table, points, costs);
         }
-        if (phases.active) {
-          phases.encode_ns.fetch_add(elapsed_ns(t0), std::memory_order_relaxed);
-        }
       }
       const long long bound = shared_bound.load(std::memory_order_acquire);
       if (bound != kNoBound) engine.set_upper_bound(bound);
-      if (tighten && instances.size() > 1) {
+      if (instances.size() > 1) {
         // Live view of the shared bound: the engine re-tightens its GTE /
         // PB constraint whenever a sibling publishes a cheaper model.
         // Pointless with a single instance (no sibling can publish), and
@@ -547,16 +522,12 @@ MappingResult map_exact(const Circuit& circuit, const arch::CouplingMap& cm,
           overall_deadline - Clock::now());
       const auto share = std::chrono::milliseconds(
           std::max<long long>(1, left.count() / static_cast<long long>(rounds)));
-      const auto solve_t0 = Clock::now();
       reason::Outcome outcome;
       {
-        obs::Span span("exact.solve", "exact");
+        obs::Span span("exact.solve", "exact", &phases.solve_ns);
         span.attr("budget_ms", static_cast<long long>(share.count()));
         outcome = engine.minimize(share);
         span.attr("status", reason::to_string(outcome.status));
-      }
-      if (phases.active) {
-        phases.solve_ns.fetch_add(elapsed_ns(solve_t0), std::memory_order_relaxed);
       }
       total_polls.fetch_add(engine.stats().bound_polls - slot->seen_polls,
                             std::memory_order_relaxed);
@@ -653,13 +624,11 @@ MappingResult map_exact(const Circuit& circuit, const arch::CouplingMap& cm,
         res.verify_message = std::string("gf2: ") + (gf2_ok ? "ok" : "FAILED") +
                              "; warm-start fallback (engine found no model in budget)";
       }
-      res.seconds = std::chrono::duration<double>(Clock::now() - start).count();
-      if (phases.active) res.trace_summary = phases.table(elapsed_ns(start));
+      finish();
       return res;
     }
     res.status = any_unknown ? reason::Status::Unknown : reason::Status::Unsat;
-    res.seconds = std::chrono::duration<double>(Clock::now() - start).count();
-    if (phases.active) res.trace_summary = phases.table(elapsed_ns(start));
+    finish();
     return res;
   }
 
@@ -672,8 +641,7 @@ MappingResult map_exact(const Circuit& circuit, const arch::CouplingMap& cm,
   // bit-identical at every thread count. The bounded re-solve is cheap: a
   // model of cost C* is known to exist and nothing below it does.
   if (instances.size() > 1) {
-    const auto t0 = Clock::now();
-    obs::Span span("exact.canonical_resolve", "exact");
+    obs::Span span("exact.canonical_resolve", "exact", &phases.canonical_ns);
     const long long canonical = best->solution.cost_f;
     span.attr("cost", canonical);
     const arch::CouplingMap induced = cm.induced(best->subset);
@@ -682,7 +650,6 @@ MappingResult map_exact(const Circuit& circuit, const arch::CouplingMap& cm,
     const Encoding enc(*engine, cnots, n, induced, *best->table, points, costs);
     engine->set_upper_bound(canonical);
     const reason::Outcome outcome = engine->minimize(nominal_share);
-    if (phases.active) phases.canonical_ns = elapsed_ns(t0);
     if (outcome.status == reason::Status::Optimal ||
         outcome.status == reason::Status::Feasible) {
       Encoding::Solution sol = enc.decode();
@@ -693,12 +660,10 @@ MappingResult map_exact(const Circuit& circuit, const arch::CouplingMap& cm,
     // anyway).
   }
 
-  const auto reconstruct_t0 = Clock::now();
   Reconstruction rec = [&] {
-    obs::Span span("exact.reconstruct", "exact");
+    obs::Span span("exact.reconstruct", "exact", &phases.reconstruct_ns);
     return reconstruct(circuit, cm, *best, points);
   }();
-  if (phases.active) phases.reconstruct_ns = elapsed_ns(reconstruct_t0);
   res.mapped = std::move(rec.mapped);
   res.routed_skeleton = std::move(rec.skeleton);
   res.initial_layout = std::move(rec.initial_layout);
@@ -718,8 +683,7 @@ MappingResult map_exact(const Circuit& circuit, const arch::CouplingMap& cm,
   }
 
   if (options.verify) {
-    const auto t0 = Clock::now();
-    obs::Span span("exact.verify", "exact");
+    obs::Span span("exact.verify", "exact", &phases.verify_ns);
     const Circuit skeleton_logical = circuit.cnot_skeleton();
     const bool gf2_ok = sim::implements_skeleton(skeleton_logical, res.routed_skeleton,
                                                  res.initial_layout, res.final_layout);
@@ -734,11 +698,9 @@ MappingResult map_exact(const Circuit& circuit, const arch::CouplingMap& cm,
     res.verified = gf2_ok && deep_ok;
     res.verify_message = std::string("gf2: ") + (gf2_ok ? "ok" : "FAILED") + "; " + deep_msg;
     span.attr("verified", res.verified);
-    if (phases.active) phases.verify_ns = elapsed_ns(t0);
   }
 
-  res.seconds = std::chrono::duration<double>(Clock::now() - start).count();
-  if (phases.active) res.trace_summary = phases.table(elapsed_ns(start));
+  finish();
   return res;
 }
 

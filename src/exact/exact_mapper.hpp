@@ -10,11 +10,10 @@
 ///     ExactOptions::use_subsets, one per connected n-subset (Sec. 4.1) —
 ///     and minimize Eq. (5) with the configured reasoning engine; subset
 ///     instances are sharded across ExactOptions::num_threads workers, each
-///     owning its engine, popping from a shared hardest-first work-stealing
-///     queue, with a shared atomic bound feeding every shard's Eq. (5)
-///     upper bound both at solve start and — via cooperative tightening —
-///     at checkpoints mid-solve, plus a deterministic
-///     lowest-cost/lowest-index reduction (results are bit-identical at any
+///     owning its engine, popping from a shared hardest-first queue, with
+///     a shared atomic bound feeding every shard's Eq. (5) upper bound both
+///     at solve start and — via cooperative tightening — at checkpoints
+///     mid-solve, plus a deterministic lowest-cost/lowest-index reduction (results are bit-identical at any
 ///     thread count; protocol spec in docs/concurrency.md); swaps(π)
 ///     tables come from the process-wide arch::SwapCostCache;
 ///  4. decode the best model into layouts/permutations, synthesize SWAP
@@ -36,8 +35,9 @@ namespace qxmap::exact {
 /// any other gates.
 ///
 /// \throws std::invalid_argument if the circuit has more qubits than the
-/// architecture or the configuration is unusable (e.g. full-architecture
-/// mode with m > 8, where Π cannot be enumerated).
+/// architecture or the configuration is unusable (e.g. a full-architecture
+/// instance — without use_subsets, or with n == m — on m > 8 qubits, where
+/// Π cannot be enumerated).
 [[nodiscard]] MappingResult map_exact(const Circuit& circuit, const arch::CouplingMap& cm,
                                       const ExactOptions& options = {});
 

@@ -26,12 +26,6 @@ enum class PermutationStrategy {
 
 [[nodiscard]] std::string to_string(PermutationStrategy s);
 
-/// Three-state switch for scheduler features: `Auto` defers to the matching
-/// environment variable (QXMAP_EXACT_STEAL / QXMAP_EXACT_TIGHTEN; the values
-/// `off`, `0` and `false` disable, anything else — including unset —
-/// enables), so CI can exercise both schedulers without code changes.
-enum class Toggle { Auto, On, Off };
-
 /// What the integer objective weights represent.
 enum class CostObjective {
   GateCount,      ///< the paper's Eq. (5): added elementary operations
@@ -98,28 +92,16 @@ struct ExactOptions {
   /// (exact/shard_executor.hpp): at most this many of the request's subset
   /// instances solve simultaneously (0 = hardware concurrency). The
   /// executor grows its pool so an explicit cap is honoured even on fewer
-  /// cores, like the per-call pools it replaced. Each executing thread owns
-  /// its reasoning engine — the CDCL solver is not thread-safe — and
-  /// publishes its best model cost to a shared bound that lets every other
-  /// shard strengthen its Eq. (5) upper bound. The reduction is
+  /// cores, like the per-call pools it replaced. Instances pop
+  /// hardest-first (sparsest induced coupling subgraph). Each executing
+  /// thread owns its reasoning engine — the CDCL solver is not thread-safe —
+  /// and publishes its best model cost to a shared bound that every other
+  /// shard polls at engine checkpoints, mid-solve, to strengthen its
+  /// Eq. (5) upper bound (cooperative tightening). The reduction is
   /// deterministic (lowest cost, then lowest subset index), so every cap
   /// yields bit-identical results as long as the solver budget does not
   /// expire mid-search. See docs/concurrency.md.
   int num_threads = 0;
-  /// Work-stealing pop order for the shared instance queue: hardest-looking
-  /// instances (sparsest induced coupling subgraph — they need the most
-  /// SWAPs and the deepest descending search) are started first, while the
-  /// bound is still loose, and quick dense instances mop up and publish
-  /// cheap bounds that abort the big ones mid-solve. `Off` pops in subset
-  /// index order (the PR 2 scheduler). Does not affect results, only wall
-  /// time (docs/concurrency.md has the determinism argument).
-  Toggle work_stealing = Toggle::Auto;
-  /// Mid-solve bound propagation: shards poll the shared Eq. (5) bound at
-  /// engine checkpoints *during* a solve and abort branches that can no
-  /// longer beat the incumbent (ReasoningEngine::set_bound_source). `Off`
-  /// consults the shared bound only at solve start. Does not affect
-  /// results, only wall time.
-  Toggle cooperative_tightening = Toggle::Auto;
   /// Total solver budget, shared across subset instances as one deadline:
   /// each shard grants its next instance an equal share of the time *left*,
   /// so slack from instances that finish early (or are skipped) flows to
@@ -179,7 +161,8 @@ struct MappingResult {
                             ///< false on results returned by the mappers
                             ///< themselves (and on dedup-joined results, which
                             ///< share the leader's fresh solve)
-  std::string trace_summary;  ///< phase → wall-time table ("phase  ms" lines),
+  std::string trace_summary;  ///< phase → wall-time table ("phase  ms" lines)
+                              ///< summed from the exact.* phase spans;
                               ///< populated only while tracing is enabled
                               ///< (obs::TraceRecorder); empty otherwise.
                               ///< Timing-dependent — an observability field,

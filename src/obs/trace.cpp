@@ -207,10 +207,12 @@ std::string TraceRecorder::tree() const {
 // Span
 // ---------------------------------------------------------------------------
 
-void Span::begin(const char* name, const char* category) {
+void Span::begin(const char* name, const char* category,
+                 std::atomic<std::uint64_t>* total_ns) {
   active_ = true;
   name_ = name;
   category_ = category;
+  total_ns_ = total_ns;
   TraceRecorder::ThreadState& state = TraceRecorder::thread_state();
   depth_ = state.depth++;
   start_ns_ = TraceRecorder::now_ns();
@@ -227,6 +229,7 @@ void Span::end() {
   event.category = category_;
   event.ts_ns = start_ns_;
   event.dur_ns = end_ns - start_ns_;
+  if (total_ns_ != nullptr) total_ns_->fetch_add(event.dur_ns, std::memory_order_relaxed);
   event.depth = depth_;
   event.phase = 'X';
   event.attrs = std::move(attrs_);

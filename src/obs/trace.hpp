@@ -168,10 +168,17 @@ class TraceRecorder {
 /// When tracing is disabled at construction the span is inert — no
 /// allocation, no clock read — and stays inert even if tracing is enabled
 /// before destruction (events are never half-recorded).
+///
+/// An optional `total_ns` accumulator receives the recorded duration when
+/// the span closes (a relaxed add, so spans on several threads may share
+/// one): callers that report per-phase wall time read it off the same clock
+/// the trace shows instead of timing the scope a second time. An inert span
+/// adds nothing.
 class Span {
  public:
-  Span(const char* name, const char* category) {
-    if (TraceRecorder::enabled()) begin(name, category);
+  Span(const char* name, const char* category,
+       std::atomic<std::uint64_t>* total_ns = nullptr) {
+    if (TraceRecorder::enabled()) begin(name, category, total_ns);
   }
   ~Span() {
     if (active_) end();
@@ -201,12 +208,13 @@ class Span {
                       std::vector<std::pair<std::string, std::string>> attrs = {});
 
  private:
-  void begin(const char* name, const char* category);
+  void begin(const char* name, const char* category, std::atomic<std::uint64_t>* total_ns);
   void end();
 
   bool active_ = false;
   const char* name_ = "";
   const char* category_ = "";
+  std::atomic<std::uint64_t>* total_ns_ = nullptr;
   std::uint64_t start_ns_ = 0;
   std::uint32_t depth_ = 0;
   std::vector<std::pair<std::string, std::string>> attrs_;

@@ -48,9 +48,6 @@ class CdclEngine final : public ReasoningEngine {
   /// Selects the optimization mode; call before minimize().
   void set_optimization_mode(OptimizationMode mode) noexcept override { mode_ = mode; }
 
-  /// Back-compat alias for set_optimization_mode.
-  void set_mode(OptimizationMode mode) noexcept { mode_ = mode; }
-
   int new_bool() override;
   void add_clause(const std::vector<int>& lits) override;
   void add_cost(int var, long long weight) override;

@@ -223,7 +223,7 @@ TEST(CdclBinarySearch, MatchesDescendingLinearOnRandomInstances) {
 
     const auto run = [&](reason::OptimizationMode mode) {
       reason::CdclEngine e;
-      e.set_mode(mode);
+      e.set_optimization_mode(mode);
       for (int v = 0; v < inst.num_vars; ++v) e.new_bool();
       for (const auto& cl : inst.clauses) e.add_clause(cl);
       for (const auto& [var, w] : inst.costs) e.add_cost(var, w);
@@ -250,7 +250,7 @@ TEST(CdclBinarySearch, MatchesDescendingLinearOnRandomInstances) {
 
 TEST(CdclBinarySearch, UnsatReported) {
   reason::CdclEngine e;
-  e.set_mode(reason::OptimizationMode::BinarySearch);
+  e.set_optimization_mode(reason::OptimizationMode::BinarySearch);
   const int v = e.new_bool();
   e.add_clause({v + 1});
   e.add_clause({-(v + 1)});

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "arch/architectures.hpp"
 #include "arch/swap_costs.hpp"
 #include "bench_circuits/generators.hpp"
@@ -190,6 +193,25 @@ TEST(ExactMapper, ValidationErrors) {
   const auto res = map_exact(small, arch::ibm_qx5(), opt);
   EXPECT_EQ(res.status, Status::Optimal);
   EXPECT_EQ(res.cost_f, 0);
+
+  // With n == m there is no proper subset to pick, so use_subsets still
+  // leaves one full-architecture instance; the error names that limit
+  // instead of asking for the use_subsets the caller already set.
+  Circuit wide(16);
+  wide.cnot(0, 15);
+  EXPECT_THROW(
+      {
+        try {
+          (void)map_exact(wide, arch::ibm_qx5(), opt);
+        } catch (const std::invalid_argument& e) {
+          const std::string what = e.what();
+          EXPECT_NE(what.find("full-architecture instance needs m <= 8"), std::string::npos)
+              << what;
+          EXPECT_EQ(what.find("set use_subsets"), std::string::npos) << what;
+          throw;
+        }
+      },
+      std::invalid_argument);
 }
 
 TEST(ExactMapper, BidirectedArchitectureUsesCheapSwaps) {

@@ -1,13 +1,12 @@
 /// Determinism/concurrency harness for the parallel exact mapper: thread-
 /// count invariance of the subset shard-and-reduce, the shared-bound early
 /// termination, the zero-cost short-circuit, oversubscription (more threads
-/// than subsets), the work-stealing pop order, and engine-cooperative
+/// than subsets), the hardest-first pop order, and engine-cooperative
 /// mid-solve bound tightening (docs/concurrency.md).
 
 #include <gtest/gtest.h>
 
 #include <chrono>
-#include <cstdlib>
 #include <string>
 #include <utility>
 #include <vector>
@@ -179,7 +178,7 @@ TEST(SharedBoundContract, BoundBelowOptimumTerminatesAsBoundedUnsat) {
 
 TEST(SharedBoundContract, BinarySearchModeHonoursTheBound) {
   bound::SmallObjective p;
-  p.engine.set_mode(reason::OptimizationMode::BinarySearch);
+  p.engine.set_optimization_mode(reason::OptimizationMode::BinarySearch);
   p.engine.set_upper_bound(3);
   const auto out = p.engine.minimize(std::chrono::milliseconds(5000));
   EXPECT_EQ(out.status, Status::Optimal);
@@ -254,7 +253,7 @@ TEST(CooperativeTightening, MonotoneSourceSimulatingSiblingProgress) {
 
 TEST(CooperativeTightening, BinarySearchModePollsBetweenProbes) {
   bound::SmallObjective p;
-  p.engine.set_mode(reason::OptimizationMode::BinarySearch);
+  p.engine.set_optimization_mode(reason::OptimizationMode::BinarySearch);
   p.engine.set_bound_source([] { return 2LL; });
   const auto out = p.engine.minimize(std::chrono::milliseconds(5000));
   EXPECT_EQ(out.status, Status::Unsat);
@@ -263,7 +262,7 @@ TEST(CooperativeTightening, BinarySearchModePollsBetweenProbes) {
 
 TEST(CooperativeTightening, BinarySearchModeSourceAboveOptimum) {
   bound::SmallObjective p;
-  p.engine.set_mode(reason::OptimizationMode::BinarySearch);
+  p.engine.set_optimization_mode(reason::OptimizationMode::BinarySearch);
   p.engine.set_bound_source([] { return 3LL; });
   const auto out = p.engine.minimize(std::chrono::milliseconds(5000));
   EXPECT_EQ(out.status, Status::Optimal);
@@ -441,8 +440,6 @@ TEST(MidSolveTightening, CheapSubsetAbortsInFlightExpensiveShards) {
   opt.engine = EngineKind::Cdcl;
   opt.use_subsets = true;
   opt.num_threads = 6;  // every instance gets a worker up front
-  opt.work_stealing = exact::Toggle::On;
-  opt.cooperative_tightening = exact::Toggle::On;
   opt.budget = std::chrono::milliseconds(120000);
   const auto res = map_exact(c, cm, opt);
   ASSERT_EQ(res.status, Status::Optimal);
@@ -467,47 +464,46 @@ TEST(MidSolveTightening, SerialRunNeverTightensMidSolve) {
   opt.engine = EngineKind::Cdcl;
   opt.use_subsets = true;
   opt.num_threads = 1;
-  opt.cooperative_tightening = exact::Toggle::On;
   opt.budget = std::chrono::milliseconds(120000);
   const auto serial = map_exact(c, cm, opt);
   ASSERT_EQ(serial.status, Status::Optimal);
   EXPECT_EQ(serial.bound_tightenings, 0);
   EXPECT_GE(serial.bound_polls, 6);
   opt.num_threads = 6;
-  opt.work_stealing = exact::Toggle::On;
   const auto parallel = map_exact(c, cm, opt);
   expect_identical(serial, parallel, "tail-cycle6, 1 vs 6 threads");
 }
 
-TEST(MidSolveTightening, TogglesOffMatchCooperativeResults) {
-  // Scheduler features change wall time, never results: every combination
-  // of {steal, tighten} x {1, 2, 6 threads} must be bit-identical.
+TEST(MidSolveTightening, SingleInstanceInstallsNoBoundSource) {
+  // A lone full-architecture instance has no sibling that could publish a
+  // bound mid-solve, so it skips the source and its checkpoint polls.
+  const Circuit c = bench::random_circuit(5, 2, 6, 3, "single-instance");
+  ExactOptions opt;
+  opt.engine = EngineKind::Cdcl;
+  opt.num_threads = 4;
+  opt.budget = std::chrono::milliseconds(60000);
+  const auto res = map_exact(c, arch::ibm_qx4(), opt);
+  ASSERT_EQ(res.status, Status::Optimal);
+  EXPECT_EQ(res.instances_solved, 1);
+  EXPECT_EQ(res.bound_polls, 0);
+}
+
+TEST(MidSolveTightening, ThreadCountSweepIsBitIdentical) {
+  // Mid-solve bounds change wall time, never results: 1, 2 and 6 threads
+  // (serial, partial and full overlap of the shards) must be bit-identical.
   const auto cm = steal::tail_cycle6();
   const Circuit c = steal::cycle_workload(2);
-  ExactOptions base;
-  base.engine = EngineKind::Cdcl;
-  base.use_subsets = true;
-  base.budget = std::chrono::milliseconds(120000);
-  base.num_threads = 1;
-  base.work_stealing = exact::Toggle::Off;
-  base.cooperative_tightening = exact::Toggle::Off;
-  const auto reference = map_exact(c, cm, base);
+  ExactOptions opt;
+  opt.engine = EngineKind::Cdcl;
+  opt.use_subsets = true;
+  opt.budget = std::chrono::milliseconds(120000);
+  opt.num_threads = 1;
+  const auto reference = map_exact(c, cm, opt);
   ASSERT_EQ(reference.status, Status::Optimal);
-  EXPECT_EQ(reference.bound_polls, 0);  // no source installed when Off
-  for (const auto steal_toggle : {exact::Toggle::Off, exact::Toggle::On}) {
-    for (const auto tighten_toggle : {exact::Toggle::Off, exact::Toggle::On}) {
-      for (const int threads : {1, 2, 6}) {
-        auto opt = base;
-        opt.work_stealing = steal_toggle;
-        opt.cooperative_tightening = tighten_toggle;
-        opt.num_threads = threads;
-        const auto res = map_exact(c, cm, opt);
-        expect_identical(reference, res,
-                         "steal=" + std::to_string(steal_toggle == exact::Toggle::On) +
-                             " tighten=" + std::to_string(tighten_toggle == exact::Toggle::On) +
-                             " threads=" + std::to_string(threads));
-      }
-    }
+  for (const int threads : {2, 6}) {
+    opt.num_threads = threads;
+    const auto res = map_exact(c, cm, opt);
+    expect_identical(reference, res, "threads=" + std::to_string(threads));
   }
 }
 
@@ -524,8 +520,6 @@ TEST(WorkStealingSweep, ThreadCountInvarianceOnAllBuiltInArchitectures) {
     ExactOptions opt;
     opt.engine = EngineKind::Cdcl;
     opt.use_subsets = true;
-    opt.work_stealing = exact::Toggle::On;
-    opt.cooperative_tightening = exact::Toggle::On;
     opt.budget = std::chrono::milliseconds(120000);
     opt.num_threads = 1;
     const auto serial = map_exact(c, cm, opt);
@@ -537,34 +531,6 @@ TEST(WorkStealingSweep, ThreadCountInvarianceOnAllBuiltInArchitectures) {
       const auto parallel = map_exact(c, cm, popt);
       expect_identical(serial, parallel, cm.name() + ", threads " + std::to_string(threads));
     }
-  }
-}
-
-// --- Toggle environment fallback --------------------------------------------
-
-TEST(SchedulerToggles, AutoDefersToEnvironment) {
-  // Toggle::Auto + QXMAP_EXACT_TIGHTEN=off must behave like Toggle::Off
-  // (no bound source installed => zero polls); explicit On overrides the
-  // environment. Restores the prior environment on exit.
-  const char* prior = std::getenv("QXMAP_EXACT_TIGHTEN");
-  const std::string saved = prior ? prior : "";
-  setenv("QXMAP_EXACT_TIGHTEN", "off", 1);
-  const Circuit c = bench::random_circuit(3, 2, 6, 1, "env");
-  ExactOptions opt;
-  opt.engine = EngineKind::Cdcl;
-  opt.use_subsets = true;
-  opt.num_threads = 2;
-  opt.budget = std::chrono::milliseconds(60000);
-  const auto env_off = map_exact(c, arch::ibm_qx4(), opt);
-  EXPECT_EQ(env_off.bound_polls, 0);
-  opt.cooperative_tightening = exact::Toggle::On;
-  const auto forced_on = map_exact(c, arch::ibm_qx4(), opt);
-  EXPECT_GE(forced_on.bound_polls, 1);
-  expect_identical(env_off, forced_on, "env off vs forced on");
-  if (prior) {
-    setenv("QXMAP_EXACT_TIGHTEN", saved.c_str(), 1);
-  } else {
-    unsetenv("QXMAP_EXACT_TIGHTEN");
   }
 }
 

@@ -3,17 +3,21 @@
 /// JSON export, the disabled-mode zero-span guarantee, a multi-thread
 /// hammer over the lock-free per-thread buffers (run under TSan in CI),
 /// and the metrics registry (counters, gauges, log-scale histograms,
-/// Prometheus/JSON exposition, type-mismatch rejection).
+/// Prometheus/JSON exposition, type-mismatch rejection), and the exact
+/// mapper's per-phase `trace_summary` table.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "arch/architectures.hpp"
+#include "exact/exact_mapper.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -232,6 +236,43 @@ TEST(ObsTrace, EnableDisableRace) {
   // No crash and a consistent snapshot is the assertion.
   const auto events = TraceRecorder::instance().snapshot();
   for (const auto& e : events) EXPECT_EQ(e.name, "flicker");
+}
+
+TEST(ObsTrace, ExactTraceSummaryFollowsTracing) {
+  // A CNOT cycle on 3 qubits costs > 0 on every connected 3-subset of QX4
+  // (none has a cyclically directed triangle), so no subset is skipped and
+  // every phase of the multi-instance pipeline runs (no warm start there;
+  // its line is still printed).
+  Circuit c(3, "trace-summary");
+  for (int rep = 0; rep < 2; ++rep) {
+    c.h(rep);
+    c.cnot(0, 1);
+    c.cnot(1, 2);
+    c.cnot(2, 0);
+  }
+  exact::ExactOptions opt;
+  opt.engine = reason::EngineKind::Cdcl;
+  opt.use_subsets = true;
+  opt.num_threads = 2;
+  opt.budget = std::chrono::milliseconds(60000);
+  {
+    ScopedTrace guard(true);
+    const auto res = exact::map_exact(c, arch::ibm_qx4(), opt);
+    ASSERT_GT(res.instances_solved, 1);
+    const std::string& table = res.trace_summary;
+    for (const char* phase : {"subsets", "warm_start", "prefix", "encode*", "solve*",
+                              "canonical_resolve", "reconstruct", "verify", "total"}) {
+      std::string row = "\n";
+      row += phase;
+      EXPECT_NE(("\n" + table).find(row + " "), std::string::npos) << phase << "\n" << table;
+    }
+    EXPECT_NE(table.find(" ms\n"), std::string::npos) << table;
+  }
+  {
+    ScopedTrace guard(false);
+    const auto res = exact::map_exact(c, arch::ibm_qx4(), opt);
+    EXPECT_TRUE(res.trace_summary.empty()) << res.trace_summary;
+  }
 }
 
 TEST(ObsMetrics, CounterGaugeBasics) {

@@ -168,11 +168,6 @@ TEST(MappingServiceKey, PerformanceKnobsDoNotForkEntries) {
   threads8.exact.num_threads = 8;
   EXPECT_EQ(MappingService::cache_key(c, cm, base), MappingService::cache_key(c, cm, threads8));
 
-  MapOptions toggles = base;
-  toggles.exact.work_stealing = exact::Toggle::Off;
-  toggles.exact.cooperative_tightening = exact::Toggle::Off;
-  EXPECT_EQ(MappingService::cache_key(c, cm, base), MappingService::cache_key(c, cm, toggles));
-
   // End to end: a 1-thread miss then an 8-thread request — the latter must
   // hit the former's entry.
   MappingService service(4);
