@@ -11,7 +11,7 @@
 #include "bench_circuits/generators.hpp"
 #include "exact/exact_mapper.hpp"
 #include "exact/reference_search.hpp"
-#include "heuristic/layer_weight_mapper.hpp"
+#include "heuristic/sabre_mapper.hpp"
 
 namespace {
 
@@ -72,10 +72,10 @@ BENCHMARK(BM_ReferenceDpScaling)->Arg(2)->Arg(6)->Arg(10)->Arg(20)->Arg(40)
     ->Unit(benchmark::kMillisecond);
 
 // The scenario axis the exact method cannot reach: SU(4) stress circuits on
-// the heavy-hex built-ins, routed by the layer-weight heuristic. Arg selects
+// the heavy-hex built-ins, routed by SABRE. Arg selects
 // the architecture (27/65/127 qubits); depth is fixed at 4 SU(4) layers so
 // the CNOT count scales linearly with the qubit count.
-void BM_LayerWeightHeavyHex(benchmark::State& state) {
+void BM_SabreHeavyHex(benchmark::State& state) {
   const arch::CouplingMap cm = [&] {
     switch (state.range(0)) {
       case 27: return arch::ibm_hex27();
@@ -85,13 +85,13 @@ void BM_LayerWeightHeavyHex(benchmark::State& state) {
   }();
   const Circuit circuit =
       bench::su4_random_circuit(cm.num_physical(), 4, 7, "su4_" + cm.name());
-  heuristic::LayerWeightOptions opt;
+  heuristic::SabreOptions opt;
   opt.verify = false;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(heuristic::map_layer_weight(circuit, cm, opt));
+    benchmark::DoNotOptimize(heuristic::map_sabre(circuit, cm, opt));
   }
 }
-BENCHMARK(BM_LayerWeightHeavyHex)->Arg(27)->Arg(65)->Arg(127)
+BENCHMARK(BM_SabreHeavyHex)->Arg(27)->Arg(65)->Arg(127)
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -3,10 +3,11 @@
 /// committed BENCH_table1.json at the committed budget and fails (exit 1)
 /// if any of them no longer proves or any proven cost drifts. Proven costs
 /// are deterministic (docs/benchmarks.md), so a drift is a correctness
-/// event; a lost proof is a solver-performance regression. Every re-proved
-/// objective is also checked against the in-tree DP oracle
-/// (exact/reference_search.hpp), so a wrong `proven` verdict fails the gate
-/// even when it repeats the baseline cost.
+/// event; a lost proof is a solver-performance regression. Every returned
+/// objective, proven or not, is also checked against the in-tree DP oracle
+/// (exact/reference_search.hpp): a wrong `proven` verdict fails the gate
+/// even when it repeats the baseline cost, and an unproven answer below the
+/// optimum is named as a wrong result rather than a lost proof.
 ///
 /// Usage: bench_sat_smoke [--smoke] [--baseline PATH] [--budget-ms N]
 ///                        [--mode descending|binary|both]
@@ -100,12 +101,13 @@ Baseline load_baseline(const std::string& path) {
   return b;
 }
 
-/// Checks a proven objective against the DP oracle, an independent code
-/// path: it must equal the optimum over the connected n-subsets the mapper
-/// solved (Sec. 4.1) and can never beat the full-architecture optimum.
-/// Returns what failed, or an empty string.
+/// Checks an objective against the DP oracle, an independent code path. A
+/// proven objective must equal the optimum over the connected n-subsets the
+/// mapper solved (Sec. 4.1); an unproven one is an upper bound and must not
+/// lie below it. Neither can beat the full-architecture optimum. Returns
+/// what failed, or an empty string.
 std::string dp_check(const Circuit& circuit, const arch::CouplingMap& cm,
-                     const exact::ExactOptions& opt, long long objective) {
+                     const exact::ExactOptions& opt, long long objective, bool proven) {
   std::vector<Gate> cnots;
   for (const Gate& g : circuit) {
     if (g.is_cnot()) cnots.push_back(g);
@@ -119,9 +121,9 @@ std::string dp_check(const Circuit& circuit, const arch::CouplingMap& cm,
     if (r.feasible && (subset_best < 0 || r.cost_f < subset_best)) subset_best = r.cost_f;
   }
   const auto full = exact::minimal_cost_reference(cnots, n, cm, points, costs);
-  if (objective != subset_best) {
-    return "objective " + std::to_string(objective) + " != subset DP optimum " +
-           std::to_string(subset_best);
+  if (proven ? objective != subset_best : objective < subset_best) {
+    return "objective " + std::to_string(objective) + (proven ? " != " : " < ") +
+           "subset DP optimum " + std::to_string(subset_best);
   }
   if (!full.feasible) return "the full-architecture DP finds no mapping";
   if (objective < full.cost_f) {
@@ -186,13 +188,15 @@ int main(int argc, char** argv) {
       const arch::CouplingMap cm = arch::ibm_qx4();
       const auto res = exact::map_exact(circuit, cm, opt);
       const bool proven = res.status == reason::Status::Optimal;
+      const bool mapped = proven || res.status == reason::Status::Feasible;
       const auto cost = static_cast<long long>(res.mapped.size());
-      const std::string dp_error = proven ? dp_check(circuit, cm, opt, res.objective_cost) : "";
+      const std::string dp_error =
+          mapped ? dp_check(circuit, cm, opt, res.objective_cost, proven) : "";
       const bool ok = proven && cost == row.cost && dp_error.empty();
       std::cout << (ok ? "  ok   " : "  FAIL ") << row.circuit << " [" << mode_name
                 << "]: cost " << cost << " (baseline " << row.cost << "), "
                 << (proven ? "proven" : "NOT proven") << ", "
-                << (!proven ? std::string("DP skipped")
+                << (!mapped ? std::string("no mapping, DP skipped")
                     : dp_error.empty() ? std::string("DP ok") : "DP: " + dp_error)
                 << ", "
                 << static_cast<long long>(res.seconds * 1000.0) << " ms\n";

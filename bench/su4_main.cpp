@@ -1,18 +1,18 @@
 /// \file su4_main.cpp
 /// SU(4) stress gate for the large-architecture path: generator → heavy-hex
-/// coupling map → layer-weight heuristic, end to end.
+/// coupling map → SABRE, end to end.
 ///
 /// Usage: bench_su4 [--smoke] [--sweep] [--arch NAME] [--layers N]
 ///                  [--seed N] [--budget-ms N] [--json PATH]
 ///   --smoke       CI mode: a seeded SU(4) instance over the full
-///                 architecture (default hex27, 27 qubits) must map via the
-///                 layer-weight heuristic within --budget-ms, with a
-///                 coupling-legal mapped circuit and a GF(2)-verified
-///                 routing skeleton — under BOTH cost objectives
+///                 architecture (default hex27, 27 qubits) must map via
+///                 SABRE within --budget-ms, with a coupling-legal mapped
+///                 circuit and a GF(2)-verified routing skeleton — under
+///                 BOTH cost objectives
 ///                 (gate_count and error_weighted); exit 1 otherwise
-///   --sweep       print a layer-weight vs sabre comparison table over the
-///                 heavy-hex built-ins (hex27/65/127), asserting legality
-///                 and verification on every row
+///   --sweep       print a SABRE table over the heavy-hex built-ins
+///                 (hex27/65/127 x 2/4 layers), asserting legality and
+///                 GF(2) verification on every row
 ///   --arch NAME   architecture for --smoke (default hex27)
 ///   --layers N    SU(4) layers (default 3)
 ///   --seed N      generator seed (default 7)
@@ -37,7 +37,6 @@
 #include "bench_meta.hpp"
 #include "common/strings.hpp"
 #include "exact/swap_synthesis.hpp"
-#include "heuristic/layer_weight_mapper.hpp"
 #include "heuristic/sabre_mapper.hpp"
 
 namespace {
@@ -84,15 +83,15 @@ Args parse_args(int argc, char** argv) {
   return a;
 }
 
-/// Maps one SU(4) instance with the layer-weight heuristic and validates the
+/// Maps one SU(4) instance with SABRE and validates the
 /// result; returns false (after printing why) on any violation.
 bool check_instance(const Circuit& circuit, const arch::CouplingMap& cm,
                     exact::CostObjective objective, double* out_ms,
                     exact::MappingResult* out = nullptr) {
-  heuristic::LayerWeightOptions options;
+  heuristic::SabreOptions options;
   options.costs.objective = objective;
   const auto t0 = Clock::now();
-  const exact::MappingResult res = heuristic::map_layer_weight(circuit, cm, options);
+  const exact::MappingResult res = heuristic::map_sabre(circuit, cm, options);
   const double ms = std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
   if (out_ms != nullptr) *out_ms = ms;
   bool ok = true;
@@ -179,7 +178,7 @@ int run_smoke(const Args& args) {
               << args.budget_ms << "\n";
     ok = false;
   }
-  std::cout << (ok ? "OK" : "FAILED") << ": generator + layer-weight on " << cm.name()
+  std::cout << (ok ? "OK" : "FAILED") << ": generator + SABRE on " << cm.name()
             << " in " << format_fixed(total_ms, 1) << " ms (budget " << args.budget_ms
             << " ms)\n";
   return ok ? 0 : 1;
@@ -188,31 +187,20 @@ int run_smoke(const Args& args) {
 int run_sweep(const Args& args) {
   bool ok = true;
   std::cout << pad_right("arch", 10) << pad_left("layers", 7) << pad_left("cnots", 7)
-            << pad_left("lw swaps", 9) << pad_left("lw ms", 8) << pad_left("sabre swaps", 12)
-            << pad_left("sabre ms", 9) << '\n';
+            << pad_left("swaps", 7) << pad_left("ms", 8) << '\n';
   for (const std::string& name : {std::string("hex27"), std::string("hex65"),
                                   std::string("hex127")}) {
     const arch::CouplingMap cm = arch::by_name(name);
     for (const int layers : {2, 4}) {
       const Circuit circuit = bench::su4_random_circuit(cm.num_physical(), layers, args.seed,
                                                         "su4_" + cm.name());
-      double lw_ms = 0.0;
-      exact::MappingResult lw;
-      ok = check_instance(circuit, cm, exact::CostObjective::GateCount, &lw_ms, &lw) && ok;
-
-      const auto t0 = Clock::now();
-      const exact::MappingResult sb = heuristic::map_sabre(circuit, cm);
-      const double sb_ms = std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
-      if (!sb.verified || !exact::satisfies_coupling(sb.mapped, cm)) {
-        std::cout << "FAIL: sabre result invalid on " << cm.name() << "\n";
-        ok = false;
-      }
+      double ms = 0.0;
+      exact::MappingResult res;
+      ok = check_instance(circuit, cm, exact::CostObjective::GateCount, &ms, &res) && ok;
       std::cout << pad_right(name, 10) << pad_left(std::to_string(layers), 7)
                 << pad_left(std::to_string(circuit.counts().cnot), 7)
-                << pad_left(std::to_string(lw.swaps_inserted), 9)
-                << pad_left(format_fixed(lw_ms, 1), 8)
-                << pad_left(std::to_string(sb.swaps_inserted), 12)
-                << pad_left(format_fixed(sb_ms, 1), 9) << '\n';
+                << pad_left(std::to_string(res.swaps_inserted), 7)
+                << pad_left(format_fixed(ms, 1), 8) << '\n';
     }
   }
   std::cout << (ok ? "OK" : "FAILED") << '\n';

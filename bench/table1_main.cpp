@@ -99,9 +99,13 @@ struct Cell {
 std::string fmt_cell(const Cell& cell, long long certified_cmin) {
   if (cell.c < 0) return "      --      ";
   std::string s = std::to_string(cell.c);
-  s += " (+" + std::to_string(cell.c - certified_cmin) + ")";
+  s += " (+";
+  s += std::to_string(cell.c - certified_cmin);
+  s += ')';
   if (!cell.proven) s += '*';
-  s += " " + format_fixed(cell.seconds, 1) + "s";
+  s += ' ';
+  s += format_fixed(cell.seconds, 1);
+  s += 's';
   return s;
 }
 

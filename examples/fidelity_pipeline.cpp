@@ -27,8 +27,8 @@ int main(int argc, char** argv) {
             << pad_left("vs exact", 10) << '\n';
 
   double exact_log10 = 0.0;
-  for (const auto method : {Method::Exact, Method::StochasticSwap, Method::AStar, Method::Sabre,
-                            Method::LayerWeight}) {
+  for (const auto method :
+       {Method::Exact, Method::StochasticSwap, Method::AStar, Method::Sabre}) {
     MapOptions options;
     options.method = method;
     options.exact.use_subsets = true;

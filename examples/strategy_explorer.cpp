@@ -52,10 +52,14 @@ int main(int argc, char** argv) {
       const auto res = exact::map_exact(circuit, qx4, opt);
       const bool found = res.status == reason::Status::Optimal ||
                          res.status == reason::Status::Feasible;
+      std::string gap = "--";
+      if (found) {
+        gap = "+";
+        gap += std::to_string(res.cost_f - reference.cost_f);
+      }
       std::cout << pad_right(label, 22) << pad_left(std::to_string(res.permutation_points), 8)
                 << pad_left(found ? std::to_string(res.cost_f) : "--", 6)
-                << pad_left(found ? "+" + std::to_string(res.cost_f - reference.cost_f) : "--",
-                            6)
+                << pad_left(gap, 6)
                 << pad_left(format_fixed(res.seconds, 2) + "s", 10)
                 << pad_left(res.status == reason::Status::Optimal ? "optimal"
                             : res.status == reason::Status::Feasible

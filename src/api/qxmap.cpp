@@ -15,8 +15,6 @@ exact::MappingResult map(const Circuit& circuit, const arch::CouplingMap& archit
       return heuristic::map_astar(circuit, architecture, options.astar);
     case Method::Sabre:
       return heuristic::map_sabre(circuit, architecture, options.sabre);
-    case Method::LayerWeight:
-      return heuristic::map_layer_weight(circuit, architecture, options.layer_weight);
   }
   throw std::invalid_argument("map: bad Method");
 }

@@ -12,7 +12,8 @@
 ///
 /// `map()` dispatches between the paper's exact method (default), the
 /// Sec. 4 performance-optimised variants (via MapOptions::exact), and the
-/// two heuristic baselines.
+/// three heuristic baselines; SABRE is the one to use on architectures
+/// beyond the exact method's reach (heavy-hex 27-127).
 ///
 /// The QASM front-end accepts full OpenQASM 2.0 — user-defined `gate`
 /// declarations (macro-expanded into the U/CX IR), `if (creg == n)`
@@ -42,7 +43,6 @@
 #include "exact/exact_mapper.hpp"
 #include "exact/types.hpp"
 #include "heuristic/astar_mapper.hpp"
-#include "heuristic/layer_weight_mapper.hpp"
 #include "heuristic/sabre_mapper.hpp"
 #include "heuristic/stochastic_swap.hpp"
 #include "ir/circuit.hpp"
@@ -56,9 +56,8 @@ enum class Method {
   Exact,           ///< Secs. 3-4: symbolic formulation + reasoning engine
   StochasticSwap,  ///< Qiskit 0.4-style randomized baseline ("IBM [12]")
   AStar,           ///< Zulehner-style layer A* baseline ([22])
-  Sabre,           ///< SABRE-style lookahead baseline ([13])
-  LayerWeight,     ///< HAIL/TANGO-style layer-weight iterative heuristic —
-                   ///< the large-architecture escape hatch (heavy-hex 27+)
+  Sabre,           ///< SABRE-style lookahead baseline ([13]); the router
+                   ///< for architectures beyond the exact method (heavy-hex)
 };
 
 /// Combined options; only the block matching `method` is consulted.
@@ -68,7 +67,6 @@ struct MapOptions {
   heuristic::StochasticSwapOptions stochastic;
   heuristic::AStarOptions astar;
   heuristic::SabreOptions sabre;
-  heuristic::LayerWeightOptions layer_weight;
 };
 
 /// Maps `circuit` onto `architecture`. See exact::MappingResult for the

@@ -115,16 +115,6 @@ std::string options_digest(const MapOptions& o, const arch::CouplingMap& archite
       d += ";verify=" + std::to_string(s.verify ? 1 : 0);
       return d;
     }
-    case Method::LayerWeight: {
-      const auto& l = o.layer_weight;
-      d += "layerweight;iterations=" + std::to_string(l.iterations);
-      d += ";lookahead=" + std::to_string(l.lookahead_layers);
-      d += ";decay=" + format_fixed(l.decay, 12);
-      d += ";seed=" + std::to_string(l.seed);
-      d += cost_model_digest(l.costs, architecture);
-      d += ";verify=" + std::to_string(l.verify ? 1 : 0);
-      return d;
-    }
   }
   throw std::invalid_argument("MappingService: bad Method");
 }

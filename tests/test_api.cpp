@@ -35,15 +35,12 @@ TEST(Api, AStarMethodDispatch) {
   EXPECT_TRUE(exact::satisfies_coupling(res.mapped, arch::ibm_qx4()));
 }
 
-TEST(Api, SabreAndLayerWeightMethodDispatch) {
+TEST(Api, SabreMethodDispatch) {
   const Circuit c = bench::paper_example_circuit();
-  MapOptions sabre;
-  sabre.method = Method::Sabre;
-  EXPECT_EQ(map(c, arch::ibm_qx4(), sabre).engine_name, "sabre");
-  MapOptions lw;
-  lw.method = Method::LayerWeight;
-  const auto res = map(c, arch::ibm_qx4(), lw);
-  EXPECT_EQ(res.engine_name, "layer-weight");
+  MapOptions opt;
+  opt.method = Method::Sabre;
+  const auto res = map(c, arch::ibm_qx4(), opt);
+  EXPECT_EQ(res.engine_name, "sabre");
   EXPECT_TRUE(exact::satisfies_coupling(res.mapped, arch::ibm_qx4()));
   EXPECT_TRUE(res.verified) << res.verify_message;
 }

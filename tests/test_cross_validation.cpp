@@ -13,7 +13,6 @@
 #include "exact/strategies.hpp"
 #include "exact/swap_synthesis.hpp"
 #include "heuristic/astar_mapper.hpp"
-#include "heuristic/layer_weight_mapper.hpp"
 #include "heuristic/sabre_mapper.hpp"
 #include "heuristic/stochastic_swap.hpp"
 #include "sim/equivalence.hpp"
@@ -168,8 +167,8 @@ TEST_P(HeuristicFloor, NoHeuristicBeatsTheCertifiedMinimum) {
 INSTANTIATE_TEST_SUITE_P(Seeds, HeuristicFloor, ::testing::Values(1u, 2u, 3u, 4u, 5u, 6u));
 
 // ---------------------------------------------------------------------
-// SU(4) sweep: every heuristic (including the layer-weight mapper) vs.
-// the certified DP floor, under BOTH cost objectives.
+// SU(4) sweep: every heuristic vs. the certified DP floor, under BOTH
+// cost objectives.
 // ---------------------------------------------------------------------
 
 struct Su4Case {
@@ -221,10 +220,6 @@ TEST_P(Su4CrossValidation, EveryHeuristicIsLegalEquivalentAndAboveTheFloor) {
   heuristic::SabreOptions bopt;
   bopt.costs = costs;
   check(heuristic::map_sabre(c, cm, bopt), "sabre");
-  heuristic::LayerWeightOptions lopt;
-  lopt.seed = param.seed;
-  lopt.costs = costs;
-  check(heuristic::map_layer_weight(c, cm, lopt), "layer-weight");
 }
 
 std::vector<Su4Case> su4_cases() {

@@ -1,5 +1,4 @@
 #include "heuristic/astar_mapper.hpp"
-#include "heuristic/layer_weight_mapper.hpp"
 #include "heuristic/sabre_mapper.hpp"
 #include "heuristic/stochastic_swap.hpp"
 
@@ -171,80 +170,6 @@ TEST(AStar, UnclosableLayerFailsWithinTheMemoryBudget) {
     EXPECT_NE(std::string(e.what()).find("search budget exhausted"), std::string::npos)
         << e.what();
   }
-}
-
-TEST(LayerWeight, MapsTable1StyleCircuits) {
-  const auto cm = arch::ibm_qx4();
-  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
-    const Circuit c = bench::random_circuit(5, 8, 12, seed, "lw");
-    const auto res = heuristic::map_layer_weight(c, cm);
-    expect_valid_mapping(c, res, cm);
-    EXPECT_GE(res.cost_f, certified_minimum(c, cm));
-    EXPECT_EQ(res.engine_name, "layer-weight");
-    EXPECT_EQ(res.objective, "gate_count");
-    EXPECT_GT(res.objective_cost, 0);
-  }
-}
-
-TEST(LayerWeight, DeterministicPerSeed) {
-  const Circuit c = bench::random_circuit(5, 5, 15, 7, "lw-det");
-  heuristic::LayerWeightOptions opt;
-  opt.seed = 99;
-  const auto a = heuristic::map_layer_weight(c, arch::ibm_qx4(), opt);
-  const auto b = heuristic::map_layer_weight(c, arch::ibm_qx4(), opt);
-  EXPECT_EQ(a.mapped, b.mapped);
-  EXPECT_EQ(a.cost_f, b.cost_f);
-}
-
-TEST(LayerWeight, MoreIterationsNeverHurt) {
-  // Profile 0 (the deterministic decay weights) is always tried first, and
-  // the best result over all profiles is kept — so extra iterations can
-  // only tie or improve.
-  const Circuit c = bench::random_circuit(5, 6, 14, 21, "lw-iters");
-  heuristic::LayerWeightOptions one;
-  one.iterations = 1;
-  heuristic::LayerWeightOptions eight;
-  eight.iterations = 8;
-  const auto r1 = heuristic::map_layer_weight(c, arch::ibm_qx4(), one);
-  const auto r8 = heuristic::map_layer_weight(c, arch::ibm_qx4(), eight);
-  EXPECT_LE(r8.objective_cost, r1.objective_cost);
-  EXPECT_EQ(r8.instances_solved, 8);
-}
-
-TEST(LayerWeight, ErrorWeightedObjectiveSurfacesInTheResult) {
-  const Circuit c = bench::random_circuit(4, 4, 8, 5, "lw-ew");
-  heuristic::LayerWeightOptions opt;
-  opt.costs.objective = exact::CostObjective::ErrorWeighted;
-  const auto res = heuristic::map_layer_weight(c, arch::ibm_qx4(), opt);
-  expect_valid_mapping(c, res, arch::ibm_qx4());
-  EXPECT_EQ(res.objective, "error_weighted");
-}
-
-TEST(LayerWeight, WorksOnLargeBidirectedArchitectures) {
-  const auto cm = arch::ibm_tokyo();
-  const Circuit c = bench::random_circuit(16, 5, 30, 11, "lw-tokyo");
-  const auto res = heuristic::map_layer_weight(c, cm);
-  EXPECT_TRUE(exact::satisfies_coupling(res.mapped, cm));
-  EXPECT_TRUE(res.verified) << res.verify_message;
-  EXPECT_EQ(res.cnots_reversed, 0);  // bidirected: no H repair
-}
-
-TEST(LayerWeight, Validation) {
-  Circuit big(6);
-  big.cnot(0, 5);
-  EXPECT_THROW(heuristic::map_layer_weight(big, arch::ibm_qx4(), {}), std::invalid_argument);
-  Circuit fine(2);
-  fine.cnot(0, 1);
-  heuristic::LayerWeightOptions bad;
-  bad.iterations = 0;
-  EXPECT_THROW(heuristic::map_layer_weight(fine, arch::ibm_qx4(), bad),
-               std::invalid_argument);
-  heuristic::LayerWeightOptions bad_window;
-  bad_window.lookahead_layers = 0;
-  EXPECT_THROW(heuristic::map_layer_weight(fine, arch::ibm_qx4(), bad_window),
-               std::invalid_argument);
-  EXPECT_THROW(heuristic::map_layer_weight(fine, arch::CouplingMap(3, {{0, 1}}), {}),
-               std::invalid_argument);
 }
 
 TEST(Heuristics, ExactBeatsOrTiesHeuristicsEverywhere) {

@@ -221,8 +221,8 @@ TEST(MappingServiceKey, CostObjectiveForksEntriesForEveryMethod) {
   // error-weighted request (or vice versa) — for ANY mapping method.
   const Circuit c = small_circuit("svc-objective");
   const auto cm = arch::ibm_qx4();
-  for (const Method method : {Method::Exact, Method::StochasticSwap, Method::AStar,
-                              Method::Sabre, Method::LayerWeight}) {
+  for (const Method method :
+       {Method::Exact, Method::StochasticSwap, Method::AStar, Method::Sabre}) {
     MapOptions gate = exact_options();
     gate.method = method;
     MapOptions weighted = gate;
@@ -238,9 +238,6 @@ TEST(MappingServiceKey, CostObjectiveForksEntriesForEveryMethod) {
         break;
       case Method::Sabre:
         weighted.sabre.costs.objective = exact::CostObjective::ErrorWeighted;
-        break;
-      case Method::LayerWeight:
-        weighted.layer_weight.costs.objective = exact::CostObjective::ErrorWeighted;
         break;
     }
     EXPECT_NE(MappingService::cache_key(c, cm, gate),
