@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "bench_circuits/generators.hpp"
 #include "bench_circuits/table1_suite.hpp"
 #include "exact/swap_synthesis.hpp"
 
@@ -43,6 +44,21 @@ TEST(Api, SabreMethodDispatch) {
   EXPECT_EQ(res.engine_name, "sabre");
   EXPECT_TRUE(exact::satisfies_coupling(res.mapped, arch::ibm_qx4()));
   EXPECT_TRUE(res.verified) << res.verify_message;
+}
+
+TEST(Api, SabreOptionsReachTheMapper) {
+  const Circuit c = bench::random_circuit(5, 4, 12, 9, "api-sabre");
+  MapOptions opt;
+  opt.method = Method::Sabre;
+  opt.sabre.seed = 17;
+  opt.sabre.bidirectional_rounds = 0;
+  opt.sabre.costs.objective = exact::CostObjective::ErrorWeighted;
+  const auto via_api = map(c, arch::ibm_qx4(), opt);
+  const auto direct = heuristic::map_sabre(c, arch::ibm_qx4(), opt.sabre);
+  EXPECT_EQ(via_api.mapped, direct.mapped);
+  EXPECT_EQ(via_api.initial_layout, (std::vector<int>{0, 1, 2, 3, 4}));
+  EXPECT_EQ(via_api.objective, "error_weighted");
+  EXPECT_EQ(via_api.objective_cost, direct.objective_cost);
 }
 
 TEST(Api, QasmInQasmOut) {

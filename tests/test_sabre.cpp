@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "arch/architectures.hpp"
 #include "arch/swap_costs.hpp"
 #include "bench_circuits/generators.hpp"
@@ -94,6 +97,75 @@ TEST(Sabre, WorksOnLargeArchitectures) {
   EXPECT_TRUE(exact::satisfies_coupling(res.mapped, cm));
   EXPECT_TRUE(res.verified) << res.verify_message;
   EXPECT_EQ(res.cnots_reversed, 0);  // bidirected map
+}
+
+TEST(Sabre, WorksOnHeavyHexArchitectures) {
+  // SABRE is the only router for the wide heavy-hex layouts.
+  const auto hex27 = arch::ibm_hex27();
+  const auto hex65 = arch::ibm_hex65();
+  for (const auto& [cm, c] : {std::pair{hex27, bench::su4_random_circuit(27, 3, 41, "hex27")},
+                              std::pair{hex65, bench::su4_random_circuit(40, 2, 42, "hex65")}}) {
+    const auto res = map_sabre(c, cm);
+    EXPECT_TRUE(exact::satisfies_coupling(res.mapped, cm)) << c.name();
+    EXPECT_TRUE(res.verified) << c.name() << ": " << res.verify_message;
+    EXPECT_EQ(res.cnots_reversed, 0) << c.name();  // bidirected: no H repair
+    EXPECT_EQ(res.cost_f, 3LL * res.swaps_inserted) << c.name();
+  }
+}
+
+TEST(Sabre, ReportsTheGateCountObjectiveByDefault) {
+  // On QX4 a SWAP costs 7 gates and a reversal 4 (Fig. 3), so the default
+  // objective equals the inserted-gate count.
+  const auto cm = arch::ibm_qx4();
+  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+    const Circuit c = bench::random_circuit(5, 8, 12, seed, "sabre-gc");
+    const auto res = map_sabre(c, cm);
+    EXPECT_EQ(res.objective, "gate_count");
+    EXPECT_EQ(res.cost_f, 7LL * res.swaps_inserted + 4LL * res.cnots_reversed) << "seed " << seed;
+    EXPECT_EQ(res.objective_cost, res.cost_f) << "seed " << seed;
+    EXPECT_GT(res.objective_cost, 0) << "seed " << seed;
+  }
+}
+
+TEST(Sabre, ErrorWeightedObjectiveSurfacesInTheResult) {
+  // The objective only re-prices the result; routing is distance-driven, so
+  // both objectives produce the same mapped circuit.
+  const auto cm = arch::ibm_qx4();
+  const Circuit c = bench::random_circuit(4, 4, 8, 5, "sabre-ew");
+  SabreOptions weighted;
+  weighted.costs.objective = exact::CostObjective::ErrorWeighted;
+  const auto res = map_sabre(c, cm, weighted);
+  EXPECT_TRUE(exact::satisfies_coupling(res.mapped, cm));
+  EXPECT_TRUE(res.verified) << res.verify_message;
+  EXPECT_EQ(res.objective, "error_weighted");
+  EXPECT_EQ(res.objective_cost,
+            weighted.costs.resolved(cm).result_cost(res.swaps_inserted, res.cnots_reversed));
+  const auto plain = map_sabre(c, cm);
+  EXPECT_EQ(res.mapped, plain.mapped);
+  EXPECT_EQ(res.initial_layout, plain.initial_layout);
+}
+
+TEST(Sabre, ZeroBidirectionalRoundsKeepTheTrivialLayout) {
+  Circuit c(5, "hot-pair");
+  for (int i = 0; i < 6; ++i) c.cnot(3, 4);
+  SabreOptions opt;
+  opt.bidirectional_rounds = 0;
+  const auto res = map_sabre(c, arch::ibm_qx4(), opt);
+  EXPECT_EQ(res.initial_layout, (std::vector<int>{0, 1, 2, 3, 4}));
+  EXPECT_TRUE(exact::satisfies_coupling(res.mapped, arch::ibm_qx4()));
+  EXPECT_TRUE(res.verified) << res.verify_message;
+}
+
+TEST(Sabre, VerifyOffSkipsTheGf2Check) {
+  const auto cm = arch::ibm_qx4();
+  const Circuit c = bench::random_circuit(5, 4, 10, 3, "sabre-noverify");
+  SabreOptions opt;
+  opt.verify = false;
+  const auto res = map_sabre(c, cm, opt);
+  EXPECT_FALSE(res.verified);
+  EXPECT_TRUE(res.verify_message.empty());
+  EXPECT_TRUE(exact::satisfies_coupling(res.mapped, cm));
+  EXPECT_EQ(res.mapped, map_sabre(c, cm).mapped);
 }
 
 TEST(Sabre, LookaheadHelpsOnAverage) {
