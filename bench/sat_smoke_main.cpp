@@ -9,17 +9,11 @@
 /// even when it repeats the baseline cost, and an unproven answer below the
 /// optimum is named as a wrong result rather than a lost proof.
 ///
-/// Usage: bench_sat_smoke [--smoke] [--baseline PATH] [--budget-ms N]
-///                        [--mode descending|binary|both]
-///   --smoke         no-op flag naming the CI mode (kept for readability)
+/// Usage: bench_sat_smoke [--baseline PATH] [--budget-ms N]
 ///   --baseline PATH BENCH_table1.json to check against (default:
 ///                   ./BENCH_table1.json)
 ///   --budget-ms N   override the per-solve budget (default: the baseline
 ///                   file's budget_ms)
-///   --mode M        which optimisation strategy re-proves the rows:
-///                   the descending-bound loop, the incremental
-///                   assumption-probe binary search, or both in sequence
-///                   (default both — proven costs must agree either way)
 ///
 /// Unlike the bench_* suites this is a plain CLI (no Google-Benchmark
 /// dependency) so the quick CI gate can run it from the test build.
@@ -138,20 +132,12 @@ std::string dp_check(const Circuit& circuit, const arch::CouplingMap& cm,
 int main(int argc, char** argv) {
   std::string baseline_path = "BENCH_table1.json";
   long long budget_ms = -1;
-  std::string mode = "both";
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--smoke") continue;
     if (arg == "--baseline" && i + 1 < argc) {
       baseline_path = argv[++i];
     } else if (arg == "--budget-ms" && i + 1 < argc) {
       budget_ms = std::stoll(argv[++i]);
-    } else if (arg == "--mode" && i + 1 < argc) {
-      mode = argv[++i];
-      if (mode != "descending" && mode != "binary" && mode != "both") {
-        std::cerr << "bench_sat_smoke: --mode must be descending, binary or both\n";
-        return 2;
-      }
     } else {
       std::cerr << "bench_sat_smoke: unknown argument '" << arg << "'\n";
       return 2;
@@ -167,45 +153,34 @@ int main(int argc, char** argv) {
   }
   if (budget_ms <= 0) budget_ms = baseline.budget_ms;
 
-  std::vector<reason::OptimizationMode> modes;
-  if (mode != "binary") modes.push_back(reason::OptimizationMode::DescendingLinear);
-  if (mode != "descending") modes.push_back(reason::OptimizationMode::BinarySearch);
+  exact::ExactOptions opt;
+  opt.engine = reason::EngineKind::Cdcl;
+  opt.use_subsets = true;
+  opt.budget = std::chrono::milliseconds(budget_ms);
 
   int checked = 0;
   int failed = 0;
-  for (const auto opt_mode : modes) {
-    exact::ExactOptions opt;
-    opt.engine = reason::EngineKind::Cdcl;
-    opt.use_subsets = true;
-    opt.budget = std::chrono::milliseconds(budget_ms);
-    opt.optimization = opt_mode;
-    const char* mode_name =
-        opt_mode == reason::OptimizationMode::BinarySearch ? "binary" : "descending";
-    for (const auto& row : baseline.rows) {
-      if (!row.proven) continue;  // budget-bound rows are timing-dependent
-      ++checked;
-      const Circuit circuit = bench::table1_benchmark(row.circuit).build();
-      const arch::CouplingMap cm = arch::ibm_qx4();
-      const auto res = exact::map_exact(circuit, cm, opt);
-      const bool proven = res.status == reason::Status::Optimal;
-      const bool mapped = proven || res.status == reason::Status::Feasible;
-      const auto cost = static_cast<long long>(res.mapped.size());
-      const std::string dp_error =
-          mapped ? dp_check(circuit, cm, opt, res.objective_cost, proven) : "";
-      const bool ok = proven && cost == row.cost && dp_error.empty();
-      std::cout << (ok ? "  ok   " : "  FAIL ") << row.circuit << " [" << mode_name
-                << "]: cost " << cost << " (baseline " << row.cost << "), "
-                << (proven ? "proven" : "NOT proven") << ", "
-                << (!mapped ? std::string("no mapping, DP skipped")
-                    : dp_error.empty() ? std::string("DP ok") : "DP: " + dp_error)
-                << ", "
-                << static_cast<long long>(res.seconds * 1000.0) << " ms\n";
-      if (!ok) ++failed;
-    }
+  for (const auto& row : baseline.rows) {
+    if (!row.proven) continue;  // budget-bound rows are timing-dependent
+    ++checked;
+    const Circuit circuit = bench::table1_benchmark(row.circuit).build();
+    const arch::CouplingMap cm = arch::ibm_qx4();
+    const auto res = exact::map_exact(circuit, cm, opt);
+    const bool proven = res.status == reason::Status::Optimal;
+    const bool mapped = proven || res.status == reason::Status::Feasible;
+    const auto cost = static_cast<long long>(res.mapped.size());
+    const std::string dp_error =
+        mapped ? dp_check(circuit, cm, opt, res.objective_cost, proven) : "";
+    const bool ok = proven && cost == row.cost && dp_error.empty();
+    std::cout << (ok ? "  ok   " : "  FAIL ") << row.circuit << ": cost " << cost << " (baseline "
+              << row.cost << "), " << (proven ? "proven" : "NOT proven") << ", "
+              << (!mapped ? std::string("no mapping, DP skipped")
+                  : dp_error.empty() ? std::string("DP ok") : "DP: " + dp_error)
+              << ", " << static_cast<long long>(res.seconds * 1000.0) << " ms\n";
+    if (!ok) ++failed;
   }
 
   std::cout << "bench_sat_smoke: " << (checked - failed) << "/" << checked
-            << " proven baseline rows re-proved at " << budget_ms << " ms (mode " << mode
-            << ")\n";
+            << " proven baseline rows re-proved at " << budget_ms << " ms\n";
   return failed == 0 ? 0 : 1;
 }

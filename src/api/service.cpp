@@ -79,7 +79,6 @@ std::string options_digest(const MapOptions& o, const arch::CouplingMap& archite
       const bool z3 = e.engine == reason::EngineKind::Z3 && reason::z3_available();
       d += "exact;engine=";
       d += z3 ? "z3" : "cdcl";
-      d += ";opt=" + std::to_string(static_cast<int>(e.optimization));
       d += ";strategy=" + exact::to_string(e.strategy);
       d += ";subsets=" + std::to_string(e.use_subsets ? 1 : 0);
       d += ";budget_ms=" + std::to_string(e.budget.count());

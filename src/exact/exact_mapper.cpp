@@ -490,7 +490,6 @@ MappingResult map_exact(const Circuit& circuit, const arch::CouplingMap& cm,
         slot->seen_tightenings = 0;
       }
       reason::ReasoningEngine& engine = *slot->engine;
-      engine.set_optimization_mode(options.optimization);
       std::optional<Encoding> enc;
       {
         obs::Span span("exact.encode", "exact", &phases.encode_ns);
@@ -646,7 +645,6 @@ MappingResult map_exact(const Circuit& circuit, const arch::CouplingMap& cm,
     span.attr("cost", canonical);
     const arch::CouplingMap induced = cm.induced(best->subset);
     auto engine = reason::make_engine(options.engine);
-    engine->set_optimization_mode(options.optimization);
     const Encoding enc(*engine, cnots, n, induced, *best->table, points, costs);
     engine->set_upper_bound(canonical);
     const reason::Outcome outcome = engine->minimize(nominal_share);

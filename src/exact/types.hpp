@@ -78,12 +78,6 @@ struct CostModel {
 /// Options for the exact mapper.
 struct ExactOptions {
   reason::EngineKind engine = reason::EngineKind::Z3;
-  /// How the engine approaches the Eq. (5) minimum (Sec. 3.3): a descending
-  /// bound loop, or binary-search probes that assert speculative bounds as
-  /// assumption literals against one incremental solver. Both return the
-  /// same status and cost; wall time per instance differs. Backends that
-  /// minimize natively (Z3) ignore the selection.
-  reason::OptimizationMode optimization = reason::OptimizationMode::DescendingLinear;
   PermutationStrategy strategy = PermutationStrategy::All;
   /// Sec. 4.1: solve one instance per connected n-subset of physical qubits
   /// instead of one instance over all m.

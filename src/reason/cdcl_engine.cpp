@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdlib>
 #include <stdexcept>
-#include <string_view>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -68,14 +67,6 @@ WeightedOutputs build_gte(Solver& s, const std::vector<std::pair<Lit, long long>
 }
 
 }  // namespace
-
-CdclEngine::CdclEngine() {
-  if (const char* env = std::getenv("QXMAP_SAT_RESTART");
-      env != nullptr && std::string_view(env) == "luby") {
-    restart_policy_ = sat::RestartPolicy::Luby;
-  }
-  solver_.set_restart_policy(restart_policy_);
-}
 
 int CdclEngine::new_bool() { return solver_.new_var(); }
 
@@ -233,21 +224,18 @@ struct CdclMetrics {
 
 Outcome CdclEngine::minimize(std::chrono::milliseconds budget) {
   obs::Span span("cdcl.minimize", "cdcl");
-  span.attr("mode", mode_ == OptimizationMode::BinarySearch ? "binary" : "descending");
   const sat::SolverStats before = solver_.stats();
   const long long polls_before = stats_.bound_polls;
   const long long tightenings_before = stats_.bound_tightenings;
   const auto deadline = std::chrono::steady_clock::now() + budget;
   // Known external bound: start with objective <= bound already enforced.
-  // Both modes run on solver_, so this single enforcement covers them.
   if (upper_bound_) apply_external_bound(*upper_bound_);
   // Preprocessing before the timing-sensitive loop: propagate level-0 facts
   // (the encoding produces many units) to fixpoint and shed satisfied /
   // falsified-literal clauses once, instead of carrying them through every
   // descending step.
   solver_.simplify();
-  const Outcome out = mode_ == OptimizationMode::BinarySearch ? minimize_binary(deadline)
-                                                              : minimize_descending(deadline);
+  const Outcome out = minimize_descending(deadline);
   const sat::SolverStats& ss = solver_.stats();
   stats_.learnts_kept = static_cast<long long>(ss.learnt_kept);
   stats_.learnts_deleted = static_cast<long long>(ss.learnt_deleted);
@@ -347,137 +335,6 @@ Outcome CdclEngine::minimize_descending(std::chrono::steady_clock::time_point de
     }
     add_cost_bound(cost - 1);
   }
-}
-
-Outcome CdclEngine::minimize_binary(std::chrono::steady_clock::time_point deadline) {
-  // Incremental binary search (Sec. 3.3 "set F to a fixed value"): every
-  // probe runs on solver_ with the speculative bound asserted as an
-  // *assumption* on a GTE output, never as a clause — the clause database
-  // only ever receives monotone facts (model costs, external bounds), so
-  // learnt clauses, phases and activities survive probes in both
-  // directions. In-solve checkpoints ride the same conflict-boundary
-  // interrupt as the descending loop; a tighter published bound aborts the
-  // probe and shrinks the search window before the next one.
-  Outcome out;
-  long long pending = kNoBound;
-  int countdown = kPollConflictInterval;
-  // Same milestone detection as the descending loop (see comment there).
-  const bool tracing = obs::TraceRecorder::enabled();
-  std::uint64_t seen_restarts = solver_.stats().restarts;
-  std::uint64_t seen_deleted = solver_.stats().learnt_deleted;
-  const auto interrupt = [&]() -> bool {
-    if (tracing) {
-      const sat::SolverStats& ss = solver_.stats();
-      if (ss.restarts != seen_restarts) {
-        obs::Span::instant("cdcl.restart", "cdcl");
-        seen_restarts = ss.restarts;
-      }
-      if (ss.learnt_deleted != seen_deleted) {
-        obs::Span::instant("cdcl.reduce_db", "cdcl",
-                           {{"deleted", std::to_string(ss.learnt_deleted - seen_deleted)}});
-        seen_deleted = ss.learnt_deleted;
-      }
-    }
-    if (std::chrono::steady_clock::now() >= deadline) return true;
-    if (has_bound_source() && --countdown <= 0) {
-      countdown = kPollConflictInterval;
-      const long long ext = observe_external(poll_bound_source());
-      if (ext < enforced_) {
-        pending = ext;
-        return true;
-      }
-    }
-    return false;
-  };
-
-  // First solve under whatever is enforced so far, to obtain an upper bound.
-  for (;;) {
-    pending = kNoBound;
-    const sat::SolveResult first = solver_.solve(interrupt);
-    if (first == sat::SolveResult::Unknown && pending != kNoBound) {
-      if (obs::TraceRecorder::enabled()) {
-        obs::Span::instant("cdcl.tighten_abort", "cdcl", {{"bound", std::to_string(pending)}});
-      }
-      add_cost_bound(pending);
-      continue;
-    }
-    if (first == sat::SolveResult::Unsatisfiable) {
-      out.status = Status::Unsat;  // no model at or below everything enforced
-      return out;
-    }
-    if (first == sat::SolveResult::Unknown) return budget_outcome();
-    break;
-  }
-  snapshot_model();
-  long long hi = model_cost();
-  if (hi == 0) {
-    out.status = Status::Optimal;
-    out.cost = 0;
-    return out;
-  }
-  // Commit the model's cost permanently (monotone: the optimum is <= hi)
-  // and clamp the GTE here on its first construction.
-  add_cost_bound(hi);
-
-  long long lo = 0;
-  for (;;) {
-    // Between-probe checkpoint: adopt bounds published while the previous
-    // probe ran. External bounds are permanent units, as in descending mode.
-    poll_and_tighten();
-    if (lo > external_limit_) {
-      // Proven: every model costs more than the external bound.
-      out.status = Status::Unsat;
-      return out;
-    }
-    // Probe only the range that can still beat (or tie) the external bound.
-    const long long cap =
-        (external_limit_ == kNoBound) ? hi : std::min(hi, external_limit_ + 1);
-    if (lo >= cap) break;
-    if (std::chrono::steady_clock::now() >= deadline) return budget_outcome();
-    const long long mid = lo + (cap - lo) / 2;
-    // Assume objective <= mid: assert ¬(sum >= B') for the smallest
-    // attainable B' > mid. hi is attainable and > mid, so B' exists; the
-    // GTE's monotonicity clauses propagate the rest of the outputs.
-    const auto above = ge_.upper_bound(mid);
-    if (above == ge_.end()) {
-      throw std::logic_error("CdclEngine::minimize_binary: no GTE output above probe bound");
-    }
-    pending = kNoBound;
-    const sat::SolveResult r = solver_.solve(interrupt, {~above->second});
-    if (r == sat::SolveResult::Unknown) {
-      if (pending != kNoBound) {
-        if (obs::TraceRecorder::enabled()) {
-        obs::Span::instant("cdcl.tighten_abort", "cdcl", {{"bound", std::to_string(pending)}});
-      }
-        add_cost_bound(pending);  // window shrinks via cap next iteration
-        continue;
-      }
-      return budget_outcome();
-    }
-    if (r == sat::SolveResult::Unsatisfiable) {
-      if (solver_.failed_assumptions().empty()) {
-        // Unsat independent of the assumption: nothing below the permanent
-        // (external) bound exists at all. The hi-vs-external check below
-        // decides Optimal versus bounded-Unsat.
-        break;
-      }
-      lo = mid + 1;
-      continue;
-    }
-    // SAT at mid: adopt the model and commit its cost as the new ceiling.
-    snapshot_model();
-    hi = model_cost();
-    add_cost_bound(hi);
-  }
-  if (hi > external_limit_) {
-    // Proven: nothing at or below the external bound exists (the best model
-    // sits above it) — bounded-Unsat, as with the descending loop.
-    out.status = Status::Unsat;
-    return out;
-  }
-  out.status = Status::Optimal;
-  out.cost = hi;
-  return out;
 }
 
 bool CdclEngine::value(int var) const {

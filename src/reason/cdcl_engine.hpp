@@ -11,16 +11,8 @@
 /// then only needs unit clauses ¬(sum >= B') for the smallest attainable
 /// B' > B (monotonicity clauses force the rest).
 ///
-/// Binary search (Sec. 3.3 "set F to a fixed value") runs against the same
-/// incremental solver: the GTE is built once, clamped at the first model's
-/// cost, and each probe at mid asserts the *assumption* ¬(sum >= B') for the
-/// smallest attainable B' > mid — speculative bounds never enter the clause
-/// database, so learnt clauses, phases and activities survive every probe in
-/// both directions. Only monotone facts (a model's own cost, external
-/// bounds) are committed as permanent units.
-///
 /// Cooperative tightening (docs/concurrency.md): with a bound source
-/// installed, both loops poll it between solves and — via the SAT solver's
+/// installed, the loop polls it between solves and — via the SAT solver's
 /// conflict-boundary interrupt — every kPollConflictInterval conflicts
 /// *inside* a solve. A strictly tighter published bound aborts the in-flight
 /// solve at the next conflict boundary, re-tightens the GTE with unit
@@ -41,13 +33,6 @@ namespace qxmap::reason {
 /// ReasoningEngine implementation on top of sat::Solver.
 class CdclEngine final : public ReasoningEngine {
  public:
-  /// Honours QXMAP_SAT_RESTART=luby|glucose (default glucose) so restart
-  /// behaviour can be A/B-tested without a rebuild.
-  CdclEngine();
-
-  /// Selects the optimization mode; call before minimize().
-  void set_optimization_mode(OptimizationMode mode) noexcept override { mode_ = mode; }
-
   int new_bool() override;
   void add_clause(const std::vector<int>& lits) override;
   void add_cost(int var, long long weight) override;
@@ -97,7 +82,6 @@ class CdclEngine final : public ReasoningEngine {
   /// observed-vs-enforced contract, docs/concurrency.md).
   [[nodiscard]] Outcome budget_outcome() const;
   Outcome minimize_descending(std::chrono::steady_clock::time_point deadline);
-  Outcome minimize_binary(std::chrono::steady_clock::time_point deadline);
 
   /// Engine-level state captured by mark_prefix (the sat::Solver itself is
   /// copyable by design — contiguous arena + plain vectors).
@@ -112,8 +96,6 @@ class CdclEngine final : public ReasoningEngine {
   };
 
   sat::Solver solver_;
-  sat::RestartPolicy restart_policy_ = sat::RestartPolicy::Glucose;
-  OptimizationMode mode_ = OptimizationMode::DescendingLinear;
   std::optional<long long> upper_bound_;
   /// Tightest bound ever passed to add_cost_bound (internal descents and
   /// external bounds alike); a polled value prunes only if below this.

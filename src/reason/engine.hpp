@@ -4,7 +4,9 @@
 /// The paper solves the symbolic formulation with Z3; this library supports
 /// two interchangeable backends behind one interface — Z3's MaxSAT-style
 /// optimizer and the home-grown CDCL solver with a descending-bound loop —
-/// so the engine choice becomes an ablation axis (bench/engines).
+/// so the engine choice becomes an ablation axis (bench/engines). Sec. 3.3
+/// allows either fixing F and searching towards the minimum or letting the
+/// engine minimise; both backends do the latter.
 ///
 /// Literal convention: an engine variable is an int id (0-based); a literal
 /// is DIMACS-like, `+(id+1)` for the positive phase, `-(id+1)` for the
@@ -33,15 +35,6 @@ enum class Status {
 struct Outcome {
   Status status = Status::Unknown;
   long long cost = 0;  ///< objective value of the best model (valid for Optimal/Feasible)
-};
-
-/// How an engine approaches the objective minimum (Sec. 3.3 discusses both:
-/// "simply set F to a fixed value and approach towards the minimum, e.g., by
-/// applying a binary search" vs. letting the engine minimize directly).
-/// Backends without a native mode choice (Z3) ignore the selection.
-enum class OptimizationMode {
-  DescendingLinear,  ///< solve, tighten below the model cost, repeat (default)
-  BinarySearch,      ///< bisect on the cost bound with assumption-literal probes
 };
 
 /// Counters of the cooperative bound protocol (docs/concurrency.md) plus
@@ -110,11 +103,6 @@ class ReasoningEngine {
   /// the source and the backend decides the checkpoint cadence (the default
   /// minimize() implementations consult it at least once per solve).
   virtual void set_bound_source(BoundSource source);
-
-  /// Selects how minimize() approaches the optimum. Call before minimize();
-  /// the default implementation ignores the choice (backends that minimize
-  /// natively, like Z3, have no mode to select).
-  virtual void set_optimization_mode(OptimizationMode mode);
 
   /// Snapshots the engine's current state (variables + clauses added so
   /// far) as the reusable prefix. Returns false when the backend does not

@@ -10,7 +10,6 @@ namespace qxmap::sat {
 namespace {
 constexpr float kClauseDecay = 0.999f;
 constexpr float kClauseRescaleLimit = 1e20f;
-constexpr std::uint64_t kLubyUnit = 128;  // conflicts per Luby unit
 // Glucose restart parameters: restart when the average LBD of the last
 // kRecentLbdWindow learnt clauses exceeds kRestartK times the long-run
 // average; block the restart (clear the window) when the trail has grown
@@ -456,56 +455,7 @@ bool Solver::simplify() {
   return true;
 }
 
-std::uint64_t Solver::luby(std::uint64_t i) {
-  // Luby sequence: 1 1 2 1 1 2 4 1 1 2 1 1 2 4 8 …, 1-based index.
-  std::uint64_t k = 1;
-  while ((1ULL << (k + 1)) - 1 <= i) ++k;
-  while ((1ULL << k) - 1 != i) {
-    i -= (1ULL << k) - 1;
-    k = 1;
-    while ((1ULL << (k + 1)) - 1 <= i) ++k;
-  }
-  return 1ULL << (k - 1);
-}
-
-void Solver::analyze_final(Lit failed) {
-  // The failed assumption plus every earlier assumption reachable from ~failed
-  // through the implication graph (levels > 0 only; level-0 facts hold
-  // unconditionally). Mirrors MiniSat's analyzeFinal.
-  failed_assumptions_.clear();
-  failed_assumptions_.push_back(failed);
-  const auto fv = static_cast<std::size_t>(failed.var());
-  if (trail_limits_.empty() || level_[fv] == 0) return;
-  seen_[fv] = true;
-  for (std::size_t i = trail_.size(); i-- > trail_limits_[0];) {
-    const auto v = static_cast<std::size_t>(trail_[i].var());
-    if (!seen_[v]) continue;
-    seen_[v] = false;
-    const CRef cr = reason_[v];
-    if (cr == kCRefUndef) {
-      // A decision above level 0 — while assumptions are being enqueued,
-      // these are exactly the already-accepted assumptions.
-      if (trail_[i] != failed) failed_assumptions_.push_back(trail_[i]);
-      continue;
-    }
-    const ClauseView c = arena_.view(cr);
-    const std::uint32_t size = c.size();
-    for (std::uint32_t k = 1; k < size; ++k) {  // lit(0) is the propagated literal
-      const auto qv = static_cast<std::size_t>(c.lit(k).var());
-      if (level_[qv] > 0) seen_[qv] = true;
-    }
-  }
-  seen_[fv] = false;
-}
-
-SolveResult Solver::solve(const std::function<bool()>& interrupt,
-                          const std::vector<Lit>& assumptions) {
-  failed_assumptions_.clear();
-  for (const Lit a : assumptions) {
-    if (a.var() < 0 || a.var() >= num_vars()) {
-      throw std::out_of_range("Solver::solve: unknown assumption variable");
-    }
-  }
+SolveResult Solver::solve(const std::function<bool()>& interrupt) {
   if (unsat_) return SolveResult::Unsatisfiable;
   if (!simplify()) return SolveResult::Unsatisfiable;
 
@@ -513,10 +463,6 @@ SolveResult Solver::solve(const std::function<bool()>& interrupt,
     if (assign_[static_cast<std::size_t>(v)] == Value::Undef) heap_.insert(v);
   }
 
-  // Luby restart state.
-  std::uint64_t luby_index = 1;
-  std::uint64_t conflicts_until_restart = luby(luby_index) * kLubyUnit;
-  std::uint64_t conflicts_this_restart = 0;
   // Glucose restart state (per solve call).
   std::array<std::uint32_t, kRecentLbdWindow> recent_lbd{};
   std::size_t recent_count = 0;
@@ -532,7 +478,6 @@ SolveResult Solver::solve(const std::function<bool()>& interrupt,
     const CRef conflict = propagate();
     if (conflict != kCRefUndef) {
       ++stats_.conflicts;
-      ++conflicts_this_restart;
       ++solve_conflicts;
       if (trail_limits_.empty()) {
         unsat_ = true;
@@ -541,7 +486,7 @@ SolveResult Solver::solve(const std::function<bool()>& interrupt,
       trail_size_sum += trail_.size();
       // Restart blocking: the assignment keeps growing past its running
       // average — the search looks SAT-like, hold the restart.
-      if (restart_policy_ == RestartPolicy::Glucose && recent_count == kRecentLbdWindow &&
+      if (recent_count == kRecentLbdWindow &&
           static_cast<double>(trail_.size()) * static_cast<double>(solve_conflicts) >
               kBlockR * static_cast<double>(trail_size_sum)) {
         recent_count = 0;
@@ -592,63 +537,29 @@ SolveResult Solver::solve(const std::function<bool()>& interrupt,
 
       if (reduce_db_.due(stats_.conflicts)) reduce_learnts();
 
-      bool restart = false;
-      if (restart_policy_ == RestartPolicy::Luby) {
-        restart = conflicts_this_restart >= conflicts_until_restart;
-        if (restart) {
-          ++luby_index;
-          conflicts_until_restart = luby(luby_index) * kLubyUnit;
-        }
-      } else if (recent_count == kRecentLbdWindow) {
-        // Recent learnt clauses are markedly worse than the long-run
-        // average: the search drifted, restart with fresh phases.
-        restart = static_cast<double>(recent_sum) * static_cast<double>(solve_conflicts) *
-                      kRestartK >
-                  static_cast<double>(solve_lbd_sum) * static_cast<double>(kRecentLbdWindow);
-      }
-      if (restart) {
+      // Recent learnt clauses are markedly worse than the long-run average:
+      // the search drifted, restart with fresh phases.
+      if (recent_count == kRecentLbdWindow &&
+          static_cast<double>(recent_sum) * static_cast<double>(solve_conflicts) * kRestartK >
+              static_cast<double>(solve_lbd_sum) * static_cast<double>(kRecentLbdWindow)) {
         ++stats_.restarts;
-        conflicts_this_restart = 0;
         recent_count = 0;
         recent_pos = 0;
         recent_sum = 0;
         backtrack(0);
       }
     } else {
-      // Pending assumptions first: each becomes a pseudo-decision on its own
-      // level (an already-true one gets an empty dummy level so level index
-      // and assumption index stay aligned across backjumps and restarts).
-      Lit next = Lit::from_index(-2);
-      bool is_assumption = false;
-      while (trail_limits_.size() < assumptions.size()) {
-        const Lit a = assumptions[trail_limits_.size()];
-        const Value av = value(a);
-        if (av == Value::True) {
-          trail_limits_.push_back(trail_.size());
-          continue;
+      const Lit next = pick_branch_literal();
+      if (next.index() < 0) {
+        // Complete assignment: record the model.
+        for (Var v = 0; v < num_vars(); ++v) {
+          model_[static_cast<std::size_t>(v)] =
+              (assign_[static_cast<std::size_t>(v)] == Value::True);
         }
-        if (av == Value::False) {
-          analyze_final(a);
-          backtrack(0);
-          return SolveResult::Unsatisfiable;
-        }
-        next = a;
-        is_assumption = true;
-        break;
+        backtrack(0);
+        return SolveResult::Satisfiable;
       }
-      if (!is_assumption) {
-        next = pick_branch_literal();
-        if (next.index() < 0) {
-          // Complete assignment: record the model.
-          for (Var v = 0; v < num_vars(); ++v) {
-            model_[static_cast<std::size_t>(v)] =
-                (assign_[static_cast<std::size_t>(v)] == Value::True);
-          }
-          backtrack(0);
-          return SolveResult::Satisfiable;
-        }
-        ++stats_.decisions;
-      }
+      ++stats_.decisions;
       trail_limits_.push_back(trail_.size());
       enqueue(next, kCRefUndef);
     }

@@ -6,13 +6,11 @@
 /// large search spaces). Feature set: two-watched-literal propagation over
 /// a contiguous clause arena (clause_arena.hpp), first-UIP clause learning
 /// with recursive minimization and LBD tracking, binary-heap VSIDS with
-/// phase saving (vsids_heap.hpp), glucose-style adaptive restarts (Luby
-/// selectable), periodic learnt-database reduction (reduce_db.hpp), and a
-/// top-level simplify() pass, and MiniSat-style assumptions with
-/// final-conflict analysis. The optimisation loop of reason/cdcl_engine
-/// adds cost-bound clauses between incremental solve() calls (sound because
-/// permanent bounds only ever tighten) and probes speculative bounds via
-/// assumption literals, which leave the clause database untouched.
+/// phase saving (vsids_heap.hpp), glucose-style adaptive restarts,
+/// periodic learnt-database reduction (reduce_db.hpp), and a top-level
+/// simplify() pass. The optimisation loop of reason/cdcl_engine adds
+/// cost-bound clauses between incremental solve() calls (sound because the
+/// bounds only ever tighten).
 
 #pragma once
 
@@ -29,12 +27,6 @@ namespace qxmap::sat {
 
 /// Outcome of a solve() call.
 enum class SolveResult { Satisfiable, Unsatisfiable, Unknown };
-
-/// Restart schedule. Glucose-style (default) restarts when the recent
-/// learnt-clause LBD average exceeds the long-run average — aggressive on
-/// UNSAT-like search, blocked when the trail keeps growing (SAT-like).
-/// Luby is the classic universal schedule.
-enum class RestartPolicy { Glucose, Luby };
 
 /// Search statistics, cumulative over the solver's lifetime.
 struct SolverStats {
@@ -71,25 +63,11 @@ class Solver {
   bool add_clause(Lit a, Lit b, Lit c) { return add_clause(std::vector<Lit>{a, b, c}); }
 
   /// Runs the CDCL search. `interrupt` (if provided) is polled at every
-  /// conflict; returning true aborts with SolveResult::Unknown.
-  ///
-  /// `assumptions` are literals held true for this call only (MiniSat
-  /// semantics): each is enqueued as a pseudo-decision on its own level
-  /// before any heuristic decision, so learnt clauses never depend on them
-  /// and remain valid for later calls with different assumptions. On
-  /// Unsatisfiable, failed_assumptions() distinguishes "unsat under these
-  /// assumptions" (non-empty subset responsible) from "unsat outright"
-  /// (empty).
-  SolveResult solve(const std::function<bool()>& interrupt = nullptr,
-                    const std::vector<Lit>& assumptions = {});
-
-  /// After solve() returned Unsatisfiable: the subset of the assumptions
-  /// that final-conflict analysis found responsible (possibly a strict
-  /// subset). Empty iff the formula is unsatisfiable regardless of
-  /// assumptions — in that case proven_unsat() is also true.
-  [[nodiscard]] const std::vector<Lit>& failed_assumptions() const noexcept {
-    return failed_assumptions_;
-  }
+  /// conflict; returning true aborts with SolveResult::Unknown. Restarts
+  /// are glucose-style: when the recent learnt-clause LBD average exceeds
+  /// the long-run average — aggressive on UNSAT-like search, blocked while
+  /// the trail keeps growing (SAT-like).
+  SolveResult solve(const std::function<bool()>& interrupt = nullptr);
 
   /// Top-level preprocessing: propagates level-0 facts to fixpoint, drops
   /// satisfied clauses and strips falsified literals from the rest. Cheap
@@ -98,8 +76,6 @@ class Solver {
   /// callers that add many clauses up front (the optimisation loop) may
   /// call it explicitly before timing-sensitive work.
   bool simplify();
-
-  void set_restart_policy(RestartPolicy p) noexcept { restart_policy_ = p; }
 
   /// Model access after Satisfiable: value of `v` in the found model.
   [[nodiscard]] bool model_value(Var v) const;
@@ -127,7 +103,6 @@ class Solver {
   void enqueue(Lit l, CRef reason);
   CRef propagate();
   void analyze(CRef conflict, std::vector<Lit>& learnt, int& backjump_level, std::uint32_t& lbd);
-  void analyze_final(Lit failed);
   [[nodiscard]] bool literal_redundant(Lit l, std::uint32_t abstract_levels);
   void backtrack(int level);
   [[nodiscard]] Lit pick_branch_literal();
@@ -138,7 +113,6 @@ class Solver {
   void reduce_learnts();
   void collect_garbage();
   void rebuild_watches();
-  [[nodiscard]] static std::uint64_t luby(std::uint64_t i);
 
   // --- state --------------------------------------------------------------
   ClauseArena arena_;
@@ -159,12 +133,10 @@ class Solver {
 
   VsidsHeap heap_;
   ReduceDb reduce_db_;
-  RestartPolicy restart_policy_ = RestartPolicy::Glucose;
 
   float clause_inc_ = 1.0f;
   bool unsat_ = false;
   std::size_t simplified_at_trail_ = 0;  // trail size at the last sweep
-  std::vector<Lit> failed_assumptions_;
   SolverStats stats_;
 };
 

@@ -203,8 +203,9 @@ TEST(EngineFactory, Names) {
   EXPECT_EQ(reason::to_string(EngineKind::Cdcl), "cdcl");
 }
 
-TEST(CdclBinarySearch, MatchesDescendingLinearOnRandomInstances) {
-  // Sec. 3.3 sketches both schemes; they must agree on the optimum.
+TEST(CdclDescending, MatchesBruteForceOnRandomInstances) {
+  // The descending-bound loop is the CDCL engine's only way to the Eq. (5)
+  // minimum (Sec. 3.3); its status and cost must match enumeration.
   for (std::uint64_t seed = 100; seed < 110; ++seed) {
     Rng rng(seed);
     BruteInstance inst;
@@ -221,40 +222,24 @@ TEST(CdclBinarySearch, MatchesDescendingLinearOnRandomInstances) {
       if (rng.next_bool(0.6)) inst.costs.emplace_back(v, 3 + 2 * v);
     }
 
-    const auto run = [&](reason::OptimizationMode mode) {
-      reason::CdclEngine e;
-      e.set_optimization_mode(mode);
-      for (int v = 0; v < inst.num_vars; ++v) e.new_bool();
-      for (const auto& cl : inst.clauses) e.add_clause(cl);
-      for (const auto& [var, w] : inst.costs) e.add_cost(var, w);
-      const auto out = e.minimize(kBudget);
-      long long model_cost = -1;
-      if (out.status == Status::Optimal) {
-        model_cost = 0;
-        for (const auto& [var, w] : inst.costs) {
-          if (e.value(var)) model_cost += w;
-        }
-      }
-      return std::make_pair(out.status, model_cost);
-    };
-
-    const auto linear = run(reason::OptimizationMode::DescendingLinear);
-    const auto binary = run(reason::OptimizationMode::BinarySearch);
-    EXPECT_EQ(linear.first, binary.first) << "seed " << seed;
-    EXPECT_EQ(linear.second, binary.second) << "seed " << seed;
-    if (linear.first == Status::Optimal) {
-      EXPECT_EQ(linear.second, brute_min_cost(inst)) << "seed " << seed;
+    reason::CdclEngine e;
+    for (int v = 0; v < inst.num_vars; ++v) e.new_bool();
+    for (const auto& cl : inst.clauses) e.add_clause(cl);
+    for (const auto& [var, w] : inst.costs) e.add_cost(var, w);
+    const auto out = e.minimize(kBudget);
+    const long long expected = brute_min_cost(inst);
+    if (expected == std::numeric_limits<long long>::max()) {
+      EXPECT_EQ(out.status, Status::Unsat) << "seed " << seed;
+      continue;
     }
+    ASSERT_EQ(out.status, Status::Optimal) << "seed " << seed;
+    long long model_cost = 0;
+    for (const auto& [var, w] : inst.costs) {
+      if (e.value(var)) model_cost += w;
+    }
+    EXPECT_EQ(model_cost, expected) << "seed " << seed;
+    EXPECT_EQ(out.cost, expected) << "seed " << seed;
   }
-}
-
-TEST(CdclBinarySearch, UnsatReported) {
-  reason::CdclEngine e;
-  e.set_optimization_mode(reason::OptimizationMode::BinarySearch);
-  const int v = e.new_bool();
-  e.add_clause({v + 1});
-  e.add_clause({-(v + 1)});
-  EXPECT_EQ(e.minimize(kBudget).status, Status::Unsat);
 }
 
 TEST(EngineValidation, CostWeightMustBePositive) {

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <stdexcept>
 
 #include "common/rng.hpp"
@@ -325,122 +324,6 @@ TEST(SatSolver, LearntsSurviveIncrementalStrengthening) {
   for (int h = 0; h < 7; ++h) s.add_clause(neg(static_cast<sat::Var>(h)));
   EXPECT_EQ(s.solve(), SolveResult::Unsatisfiable);
   EXPECT_GE(s.stats().conflicts, conflicts_before);
-}
-
-// --- Assumptions (incremental probes) ----------------------------------------
-//
-// solve(interrupt, assumptions) decides the formula under extra unit premises
-// without touching the clause database; on Unsatisfiable, failed_assumptions()
-// is the subset of premises the refutation actually used (empty exactly when
-// the formula is unsatisfiable on its own). The optimiser's binary search
-// leans on every property pinned down here.
-
-TEST(SatSolver, AssumptionsSelectTheModelWithoutCommitting) {
-  Solver s;
-  const auto a = s.new_var();
-  const auto b = s.new_var();
-  s.add_clause(pos(a), pos(b));
-  EXPECT_EQ(s.solve(nullptr, {neg(a)}), SolveResult::Satisfiable);
-  EXPECT_FALSE(s.model_value(a));
-  EXPECT_TRUE(s.model_value(b));
-  // The opposite probe on the same solver: nothing was committed.
-  EXPECT_EQ(s.solve(nullptr, {neg(b)}), SolveResult::Satisfiable);
-  EXPECT_TRUE(s.model_value(a));
-  EXPECT_FALSE(s.model_value(b));
-}
-
-TEST(SatSolver, FailedAssumptionsPinpointTheRefutedSubset) {
-  Solver s;
-  const auto a = s.new_var();
-  const auto b = s.new_var();
-  const auto c = s.new_var();
-  s.add_clause(neg(a), neg(b));
-  EXPECT_EQ(s.solve(nullptr, {pos(a), pos(b), pos(c)}), SolveResult::Unsatisfiable);
-  EXPECT_FALSE(s.proven_unsat());  // unsat only *under* the assumptions
-  const auto& failed = s.failed_assumptions();
-  const auto holds = [&failed](Lit l) {
-    return std::find(failed.begin(), failed.end(), l) != failed.end();
-  };
-  EXPECT_TRUE(holds(pos(a)));
-  EXPECT_TRUE(holds(pos(b)));
-  EXPECT_FALSE(holds(pos(c)));  // c played no part in the refutation
-  // Without the assumptions the formula is satisfiable again.
-  EXPECT_EQ(s.solve(), SolveResult::Satisfiable);
-}
-
-TEST(SatSolver, ContradictoryAssumptionsFailAgainstEachOther) {
-  Solver s;
-  const auto v = s.new_var();
-  EXPECT_EQ(s.solve(nullptr, {pos(v), neg(v)}), SolveResult::Unsatisfiable);
-  EXPECT_FALSE(s.proven_unsat());
-  EXPECT_EQ(s.failed_assumptions().size(), 2u);
-  EXPECT_EQ(s.solve(), SolveResult::Satisfiable);
-}
-
-TEST(SatSolver, GloballyUnsatFormulaYieldsEmptyFailedSet) {
-  Solver s;
-  const auto v = s.new_var();
-  const auto w = s.new_var();
-  EXPECT_TRUE(s.add_clause(pos(v)));
-  EXPECT_FALSE(s.add_clause(neg(v)));
-  EXPECT_EQ(s.solve(nullptr, {pos(w)}), SolveResult::Unsatisfiable);
-  EXPECT_TRUE(s.proven_unsat());
-  EXPECT_TRUE(s.failed_assumptions().empty());
-}
-
-TEST(SatSolver, AssumptionsAlreadyForcedAtLevelZeroStayAligned) {
-  // A level-0-true assumption contributes an empty decision level so later
-  // assumptions keep their index alignment across backjumps.
-  Solver s;
-  const auto a = s.new_var();
-  const auto b = s.new_var();
-  const auto c = s.new_var();
-  s.add_clause(pos(a));  // level-0 unit: the first assumption is already true
-  EXPECT_EQ(s.solve(nullptr, {pos(a), pos(b), neg(c)}), SolveResult::Satisfiable);
-  EXPECT_TRUE(s.model_value(a));
-  EXPECT_TRUE(s.model_value(b));
-  EXPECT_FALSE(s.model_value(c));
-}
-
-TEST(SatSolver, ConflictUnderAssumptionLearnsOnlyPermanentFacts) {
-  // F = (u∨v)(u∨w)(¬v∨¬w) entails u. Probing ¬u must fail with ¬u as the
-  // sole culprit, and anything learnt along the way must be a consequence of
-  // F alone: the opposite probe and the unassumed solve both succeed with u
-  // true, without re-deriving the conflict (the learnt fact survived).
-  Solver s;
-  const auto u = s.new_var();
-  const auto v = s.new_var();
-  const auto w = s.new_var();
-  s.add_clause(pos(u), pos(v));
-  s.add_clause(pos(u), pos(w));
-  s.add_clause(neg(v), neg(w));
-  EXPECT_EQ(s.solve(nullptr, {neg(u)}), SolveResult::Unsatisfiable);
-  ASSERT_EQ(s.failed_assumptions().size(), 1u);
-  EXPECT_EQ(s.failed_assumptions().front(), neg(u));
-  EXPECT_GE(s.stats().conflicts, 1u);
-  const auto conflicts_after_probe = s.stats().conflicts;
-  EXPECT_EQ(s.solve(nullptr, {pos(u)}), SolveResult::Satisfiable);
-  EXPECT_EQ(s.stats().conflicts, conflicts_after_probe);
-  EXPECT_EQ(s.solve(), SolveResult::Satisfiable);
-  EXPECT_TRUE(s.model_value(u));
-}
-
-TEST(SatSolver, InterruptDuringAssumptionProbeReturnsUnknown) {
-  // The conflict-boundary interrupt contract holds under assumptions too.
-  Solver s;
-  const auto u = s.new_var();
-  const auto v = s.new_var();
-  const auto w = s.new_var();
-  s.add_clause(pos(u), pos(v));
-  s.add_clause(pos(u), pos(w));
-  s.add_clause(neg(v), neg(w));
-  EXPECT_EQ(s.solve([] { return true; }, {neg(u)}), SolveResult::Unknown);
-}
-
-TEST(SatSolver, UnknownAssumptionVariableIsRejected) {
-  Solver s;
-  (void)s.new_var();
-  EXPECT_THROW((void)s.solve(nullptr, {pos(static_cast<sat::Var>(5))}), std::out_of_range);
 }
 
 }  // namespace

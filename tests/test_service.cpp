@@ -182,9 +182,13 @@ TEST(MappingServiceKey, ResultAffectingOptionsForkEntries) {
   const MapOptions base = exact_options();
   const std::string base_key = MappingService::cache_key(c, cm, base);
 
-  MapOptions objective = base;
-  objective.exact.optimization = reason::OptimizationMode::BinarySearch;
-  EXPECT_NE(MappingService::cache_key(c, cm, objective), base_key);
+  MapOptions subsets = base;
+  subsets.exact.use_subsets = !base.exact.use_subsets;
+  EXPECT_NE(MappingService::cache_key(c, cm, subsets), base_key);
+
+  MapOptions deep_verify = base;
+  deep_verify.exact.deep_verify_max_qubits = base.exact.deep_verify_max_qubits + 1;
+  EXPECT_NE(MappingService::cache_key(c, cm, deep_verify), base_key);
 
   MapOptions budget = base;
   budget.exact.budget = std::chrono::milliseconds(12345);
