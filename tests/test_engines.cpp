@@ -242,6 +242,34 @@ TEST(CdclDescending, MatchesBruteForceOnRandomInstances) {
   }
 }
 
+TEST(CdclDescending, CostFreeFormulaIsOptimalAtZero) {
+  // With no cost terms the first model is already optimal; an upper bound
+  // has nothing to constrain and must not turn the formula Unsat.
+  for (const bool bounded : {false, true}) {
+    reason::CdclEngine e;
+    const int a = e.new_bool();
+    const int b = e.new_bool();
+    e.add_clause({a + 1, b + 1});
+    e.add_clause({-(a + 1)});
+    if (bounded) e.set_upper_bound(0);
+    const auto out = e.minimize(kBudget);
+    EXPECT_EQ(out.status, Status::Optimal) << "bounded " << bounded;
+    EXPECT_EQ(out.cost, 0) << "bounded " << bounded;
+    EXPECT_FALSE(e.value(a));
+    EXPECT_TRUE(e.value(b));
+  }
+}
+
+TEST(CdclDescending, ValueWithoutModelThrows) {
+  reason::CdclEngine e;
+  const int a = e.new_bool();
+  EXPECT_THROW((void)e.value(a), std::logic_error);
+  e.add_clause({a + 1});
+  e.add_clause({-(a + 1)});
+  ASSERT_EQ(e.minimize(kBudget).status, Status::Unsat);
+  EXPECT_THROW((void)e.value(a), std::logic_error);
+}
+
 TEST(EngineValidation, CostWeightMustBePositive) {
   for (const auto kind : {EngineKind::Z3, EngineKind::Cdcl}) {
     auto e = make_engine(kind);

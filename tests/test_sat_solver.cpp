@@ -114,6 +114,32 @@ TEST(SatSolver, PigeonholeExactFitSat) {
   EXPECT_EQ(s.solve(), SolveResult::Satisfiable);
 }
 
+/// N queens on an n x n board, one variable per square: satisfiable for
+/// n >= 4, yet the false-first phase runs the search into conflicts.
+void build_queens(Solver& s, int n) {
+  std::vector<std::vector<sat::Var>> q(static_cast<std::size_t>(n));
+  for (auto& row : q) {
+    for (int c = 0; c < n; ++c) row.push_back(s.new_var());
+  }
+  const auto at = [&q](int r, int c) { return q[static_cast<std::size_t>(r)][static_cast<std::size_t>(c)]; };
+  for (int r = 0; r < n; ++r) {
+    std::vector<Lit> row;
+    for (int c = 0; c < n; ++c) row.push_back(pos(at(r, c)));
+    s.add_clause(row);
+  }
+  for (int r1 = 0; r1 < n; ++r1) {
+    for (int c1 = 0; c1 < n; ++c1) {
+      for (int r2 = r1; r2 < n; ++r2) {
+        for (int c2 = 0; c2 < n; ++c2) {
+          if (r2 == r1 && c2 <= c1) continue;
+          const bool attack = r1 == r2 || c1 == c2 || r2 - r1 == c2 - c1 || r2 - r1 == c1 - c2;
+          if (attack) s.add_clause(neg(at(r1, c1)), neg(at(r2, c2)));
+        }
+      }
+    }
+  }
+}
+
 /// Brute-force satisfiability of a clause list over `n` vars.
 bool brute_force_sat(int n, const std::vector<std::vector<Lit>>& clauses) {
   for (std::uint32_t mask = 0; mask < (1u << n); ++mask) {
@@ -218,6 +244,148 @@ TEST(SatSolver, StatsAccumulate) {
 TEST(SatSolver, UnknownVariableRejected) {
   Solver s;
   EXPECT_THROW(s.add_clause(pos(3)), std::out_of_range);
+}
+
+TEST(SatSolver, ModelValueOfUnknownVariableRejected) {
+  Solver s;
+  s.new_var();
+  ASSERT_EQ(s.solve(), SolveResult::Satisfiable);
+  EXPECT_THROW((void)s.model_value(sat::Var{1}), std::out_of_range);
+  EXPECT_THROW((void)s.model_value(sat::Var{-1}), std::out_of_range);
+}
+
+TEST(SatSolver, ModelValueOfNegativeLiteralIsTheComplement) {
+  Solver s;
+  const auto a = s.new_var();
+  const auto b = s.new_var();
+  s.add_clause(pos(a));
+  s.add_clause(neg(b));
+  ASSERT_EQ(s.solve(), SolveResult::Satisfiable);
+  EXPECT_TRUE(s.model_value(pos(a)));
+  EXPECT_FALSE(s.model_value(neg(a)));
+  EXPECT_FALSE(s.model_value(pos(b)));
+  EXPECT_TRUE(s.model_value(neg(b)));
+}
+
+TEST(SatSolver, ProvenUnsatIsSticky) {
+  // Once level 0 is contradictory every later call says so at once: the
+  // optimisation loop relies on this to stop after its last bound clause.
+  Solver s;
+  const auto a = s.new_var();
+  const auto b = s.new_var();
+  s.add_clause(pos(a), pos(b));
+  s.add_clause(neg(a), pos(b));
+  s.add_clause(pos(a), neg(b));
+  s.add_clause(neg(a), neg(b));
+  ASSERT_FALSE(s.proven_unsat());
+  EXPECT_EQ(s.solve(), SolveResult::Unsatisfiable);
+  EXPECT_TRUE(s.proven_unsat());
+  const std::uint64_t conflicts = s.stats().conflicts;
+  EXPECT_FALSE(s.simplify());
+  EXPECT_FALSE(s.add_clause(pos(s.new_var())));
+  EXPECT_EQ(s.solve(), SolveResult::Unsatisfiable);
+  EXPECT_EQ(s.stats().conflicts, conflicts);
+}
+
+TEST(SatSolver, SimplifyKeepsModelsOfTheOriginalFormula) {
+  // simplify() drops satisfied clauses and strips falsified literals under
+  // the level-0 units; a later model must still satisfy every clause as
+  // first written.
+  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+    Rng rng(seed);
+    const int n = 12;
+    std::vector<std::vector<Lit>> clauses;
+    for (int c = 0; c < 40; ++c) {
+      std::vector<Lit> cl;
+      for (int k = 0; k < 3; ++k) {
+        cl.push_back(Lit(static_cast<sat::Var>(rng.next_below(n)), rng.next_bool(0.5)));
+      }
+      clauses.push_back(std::move(cl));
+    }
+    for (int u = 0; u < 3; ++u) {
+      clauses.push_back({Lit(static_cast<sat::Var>(rng.next_below(n)), rng.next_bool(0.5))});
+    }
+    Solver s;
+    for (int i = 0; i < n; ++i) s.new_var();
+    bool consistent = true;
+    for (const auto& cl : clauses) consistent = s.add_clause(cl) && consistent;
+    const bool expected = brute_force_sat(n, clauses);
+    EXPECT_EQ(s.simplify(), consistent) << "seed " << seed;
+    const SolveResult r = s.solve();
+    ASSERT_EQ(r == SolveResult::Satisfiable, expected) << "seed " << seed;
+    if (r != SolveResult::Satisfiable) continue;
+    for (const auto& cl : clauses) {
+      bool any = false;
+      for (const Lit l : cl) any = any || s.model_value(l);
+      EXPECT_TRUE(any) << "seed " << seed;
+    }
+  }
+}
+
+TEST(SatSolver, VariablesAddedAfterSolveJoinTheSearch) {
+  Solver s;
+  const auto a = s.new_var();
+  s.add_clause(pos(a));
+  ASSERT_EQ(s.solve(), SolveResult::Satisfiable);
+  const auto b = s.new_var();
+  const auto c = s.new_var();
+  s.add_clause(neg(a), pos(b));
+  s.add_clause(neg(b), neg(c));
+  ASSERT_EQ(s.solve(), SolveResult::Satisfiable);
+  EXPECT_EQ(s.num_vars(), 3);
+  EXPECT_TRUE(s.model_value(b));
+  EXPECT_FALSE(s.model_value(c));
+}
+
+TEST(SatSolver, InterruptIsPolledAtEveryConflict) {
+  // The engine's deadline and bound-source checks ride this hook, so it must
+  // see every conflict of a search that ends with a model.
+  Solver s;
+  build_queens(s, 10);
+  std::uint64_t polls = 0;
+  ASSERT_EQ(s.solve([&polls] {
+    ++polls;
+    return false;
+  }),
+            SolveResult::Satisfiable);
+  EXPECT_GT(s.stats().conflicts, 0u);
+  EXPECT_EQ(polls, s.stats().conflicts);
+}
+
+TEST(SatSolver, SolveAfterInterruptReachesTheAnswer) {
+  // An interrupted solve leaves the solver at level 0 with its learnt
+  // clauses; the next call picks up and finishes the proof.
+  Solver s;
+  build_php(s, 8, 7);
+  int polls = 0;
+  EXPECT_EQ(s.solve([&polls] { return ++polls == 10; }), SolveResult::Unknown);
+  EXPECT_EQ(polls, 10);
+  EXPECT_FALSE(s.proven_unsat());
+  EXPECT_EQ(s.solve(), SolveResult::Unsatisfiable);
+  EXPECT_GT(s.stats().conflicts, 10u);
+}
+
+TEST(SatSolver, GlucoseRestartsFireOnHardUnsat) {
+  // PHP(8,7) learns thousands of clauses whose LBD keeps climbing: the
+  // recent-LBD window exceeds the long-run average and the search restarts.
+  Solver s;
+  build_php(s, 8, 7);
+  EXPECT_EQ(s.solve(), SolveResult::Unsatisfiable);
+  EXPECT_GT(s.stats().restarts, 0u);
+  EXPECT_GE(s.stats().lbd_sum, s.stats().learned);  // every LBD is >= 1
+}
+
+TEST(SatSolver, CopiedSolverEvolvesIndependently) {
+  // Prefix reuse snapshots the solver by copy; clauses added to one copy
+  // must not leak into the other.
+  Solver original;
+  build_php(original, 4, 4);
+  ASSERT_EQ(original.solve(), SolveResult::Satisfiable);
+  Solver copy = original;
+  for (int h = 0; h < 4; ++h) copy.add_clause(neg(static_cast<sat::Var>(h)));  // pigeon 0 homeless
+  EXPECT_EQ(copy.solve(), SolveResult::Unsatisfiable);
+  EXPECT_FALSE(original.proven_unsat());
+  EXPECT_EQ(original.solve(), SolveResult::Satisfiable);
 }
 
 // -- ReduceDB invariants ------------------------------------------------------
