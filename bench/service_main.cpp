@@ -34,6 +34,7 @@
 #include "arch/architectures.hpp"
 #include "bench_circuits/table1_suite.hpp"
 #include "exact/shard_executor.hpp"
+#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
 namespace {
@@ -46,6 +47,16 @@ double median(std::vector<double> v) {
   std::sort(v.begin(), v.end());
   const std::size_t mid = v.size() / 2;
   return v.size() % 2 == 1 ? v[mid] : 0.5 * (v[mid - 1] + v[mid]);
+}
+
+/// A counter the library registered (the service and executor constructors
+/// do); throws on an unknown name instead of registering an empty one.
+const obs::Counter& library_counter(const std::string& name) {
+  obs::MetricsRegistry& reg = obs::MetricsRegistry::instance();
+  if (reg.prometheus_text().find("# HELP " + name + ' ') == std::string::npos) {
+    throw std::runtime_error("bench_service: metric " + name + " is not registered");
+  }
+  return reg.counter(name, "");
 }
 
 struct Args {
@@ -114,6 +125,13 @@ int main(int argc, char** argv) {
     options.exact.budget = std::chrono::milliseconds(args.budget_ms);
 
     api::MappingService service(64);
+    (void)exact::ShardExecutor::instance();  // registers the executor metrics
+    // Process-lifetime tallies; this service is the only one in the process.
+    const obs::Counter& requests = library_counter("qxmap_service_requests_total");
+    const obs::Counter& hits = library_counter("qxmap_service_cache_hits_total");
+    const obs::Counter& misses = library_counter("qxmap_service_cache_misses_total");
+    const obs::Counter& solves = library_counter("qxmap_service_solves_total");
+    const obs::Counter& shard_tasks = library_counter("qxmap_executor_tasks_executed_total");
     std::vector<double> cold_ms;
     std::vector<double> warm_ms;
 
@@ -127,7 +145,7 @@ int main(int argc, char** argv) {
       cold_ms.push_back(cold_t);
       if (cold.from_cache) throw std::runtime_error("bench_service: cold request hit the cache");
 
-      const std::uint64_t shard_work_before = exact::ShardExecutor::instance().stats().tasks_executed;
+      const std::uint64_t shard_work_before = shard_tasks.value();
       double row_warm = 0.0;
       for (int r = 0; r < args.repeat; ++r) {
         const auto t1 = Clock::now();
@@ -141,8 +159,7 @@ int main(int argc, char** argv) {
           throw std::runtime_error("bench_service: warm result diverged from cold");
         }
       }
-      const std::uint64_t shard_work =
-          exact::ShardExecutor::instance().stats().tasks_executed - shard_work_before;
+      const std::uint64_t shard_work = shard_tasks.value() - shard_work_before;
       std::cout << "  " << row.name << ": cold " << cold_t << " ms, warm avg "
                 << row_warm / args.repeat << " ms, warm shard tasks " << shard_work << "\n";
       if (args.smoke && shard_work != 0) {
@@ -155,11 +172,10 @@ int main(int argc, char** argv) {
     const double cold_med = median(cold_ms);
     const double warm_med = median(warm_ms);
     const double speedup = warm_med > 0.0 ? cold_med / warm_med : 0.0;
-    const auto stats = service.stats();
     std::cout << "cold median " << cold_med << " ms | warm median " << warm_med
               << " ms | speedup " << speedup << "x\n"
-              << "service: " << stats.requests << " requests, " << stats.hits << " hits, "
-              << stats.misses << " misses, " << stats.solves << " solves\n";
+              << "service: " << requests.value() << " requests, " << hits.value() << " hits, "
+              << misses.value() << " misses, " << solves.value() << " solves\n";
 
     if (args.smoke && speedup < args.min_speedup) {
       std::cerr << "bench_service: FAIL — warm/cold median speedup " << speedup << "x < "

@@ -3,7 +3,7 @@
 /// architecture through the process-wide `api::MappingService`, and prints
 /// a per-request line showing whether the request solved, was served from
 /// the result cache, or joined an in-flight duplicate — plus the service
-/// and executor counters at the end.
+/// and executor counters of the metrics registry at the end.
 ///
 /// Usage: example_qxmap_serve [--arch NAME] [--budget-ms N]
 ///                            [--trace out.json] [--metrics] [file.qasm ...]
@@ -18,6 +18,7 @@
 ///                     process-wide metrics registry after the batch
 
 #include <chrono>
+#include <cstdint>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -46,6 +47,12 @@ const char* status_name(reason::Status s) {
     case reason::Status::Unknown: break;
   }
   return "unknown";
+}
+
+/// Process-lifetime tally of a service or executor counter. Both registered
+/// their counters, help text included, when they were constructed.
+std::uint64_t tally(const std::string& name) {
+  return obs::MetricsRegistry::instance().counter(name, "").value();
 }
 
 std::vector<Job> demo_batch() {
@@ -110,13 +117,16 @@ int main(int argc, char** argv) {
       }
     }
 
-    const auto stats = service.stats();
-    const auto exec = exact::ShardExecutor::instance().stats();
-    std::cout << "\nservice: " << stats.requests << " requests = " << stats.misses
-              << " solved + " << stats.hits << " cache hits + " << stats.coalesced
-              << " coalesced; " << stats.evictions << " evictions\n"
-              << "executor: " << exec.tasks_executed << " shard tasks across "
-              << exec.requests << " requests on " << exact::ShardExecutor::instance().num_threads()
+    // This process served only this batch, so the registry's process-
+    // lifetime tallies are the batch's.
+    std::cout << "\nservice: " << tally("qxmap_service_requests_total") << " requests = "
+              << tally("qxmap_service_cache_misses_total") << " solved + "
+              << tally("qxmap_service_cache_hits_total") << " cache hits + "
+              << tally("qxmap_service_dedup_joins_total") << " coalesced; "
+              << tally("qxmap_service_cache_evictions_total") << " evictions\n"
+              << "executor: " << tally("qxmap_executor_tasks_executed_total")
+              << " shard tasks across " << tally("qxmap_executor_requests_total")
+              << " requests on " << exact::ShardExecutor::instance().num_threads()
               << " workers\n";
 
     if (!trace_path.empty()) {

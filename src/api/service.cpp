@@ -14,9 +14,7 @@ namespace qxmap::api {
 
 namespace {
 
-// Registry handles for the service counters (docs/observability.md). The
-// mutex-protected Stats struct remains the API-visible snapshot; these feed
-// the Prometheus/JSON exports.
+// Registry handles for the service counters (docs/observability.md).
 struct ServiceMetrics {
   obs::Counter& requests;
   obs::Counter& hits;
@@ -133,7 +131,11 @@ MappingService::MappingService(std::size_t capacity, SolveFn solve)
       solve_(solve ? std::move(solve)
                    : [](const Circuit& c, const arch::CouplingMap& a, const MapOptions& o) {
                        return qxmap::map(c, a, o);
-                     }) {}
+                     }) {
+  // Register the counters now, so a scrape before the first request already
+  // lists every qxmap_service_* series.
+  (void)ServiceMetrics::get();
+}
 
 MappingService& MappingService::instance() {
   // Touch the executor first so it outlives the service by static-
@@ -164,9 +166,7 @@ exact::MappingResult MappingService::map(const Circuit& circuit,
   std::shared_future<exact::MappingResult> join;
   {
     const std::lock_guard<std::mutex> lock(mutex_);
-    ++stats_.requests;
     if (const auto it = cache_.find(key); it != cache_.end()) {
-      ++stats_.hits;
       metrics.hits.inc();
       obs::Span hit("service.cache_hit", "service");
       lru_.splice(lru_.begin(), lru_, it->second.lru_it);
@@ -176,11 +176,9 @@ exact::MappingResult MappingService::map(const Circuit& circuit,
       return result;
     }
     if (const auto it = in_flight_.find(key); it != in_flight_.end()) {
-      ++stats_.coalesced;
       metrics.coalesced.inc();
       join = it->second;  // joiner: wait outside the lock
     } else {
-      ++stats_.misses;
       metrics.misses.inc();
       in_flight_.emplace(key, promise.get_future().share());
     }
@@ -208,7 +206,6 @@ exact::MappingResult MappingService::solve_as_leader(
       // request arriving after the failure leads a fresh solve instead of
       // joining (and re-observing) a dead one. Nothing enters the cache.
       const std::lock_guard<std::mutex> lock(mutex_);
-      ++stats_.failures;
       ServiceMetrics::get().failures.inc();
       in_flight_.erase(key);
     }
@@ -217,12 +214,10 @@ exact::MappingResult MappingService::solve_as_leader(
   }
   {
     const std::lock_guard<std::mutex> lock(mutex_);
-    ++stats_.solves;
     ServiceMetrics::get().solves.inc();
     in_flight_.erase(key);
     if (capacity_ > 0 && cache_.find(key) == cache_.end()) {
       while (cache_.size() >= capacity_) {
-        ++stats_.evictions;
         ServiceMetrics::get().evictions.inc();
         cache_.erase(lru_.back());
         lru_.pop_back();
@@ -233,11 +228,6 @@ exact::MappingResult MappingService::solve_as_leader(
   }
   promise.set_value(result);
   return result;
-}
-
-MappingService::Stats MappingService::stats() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return stats_;
 }
 
 std::size_t MappingService::size() const {

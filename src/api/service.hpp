@@ -35,12 +35,14 @@
 ///
 /// docs/service.md specifies the key construction, the dedup protocol, and
 /// the interaction with the process-wide `exact::ShardExecutor` (shards of
-/// distinct cache misses interleave through its single queue).
+/// distinct cache misses interleave through its single queue). Every
+/// request's path (hit, join, miss; solve or failure; evictions) is tallied
+/// on the `qxmap_service_*` counters of `obs::MetricsRegistry`
+/// (docs/observability.md).
 
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <functional>
 #include <future>
 #include <list>
@@ -60,24 +62,6 @@ class MappingService {
   using SolveFn =
       std::function<exact::MappingResult(const Circuit&, const arch::CouplingMap&,
                                          const MapOptions&)>;
-
-  /// Lifetime counters (snapshot; all monotone).
-  ///
-  /// \deprecated The same tallies are published to the process-wide
-  /// `obs::MetricsRegistry` as `qxmap_service_*_total` counters
-  /// (docs/observability.md), which is the preferred surface for
-  /// monitoring: one registry, one export format, no per-subsystem
-  /// snapshot structs. This struct stays for programmatic assertions
-  /// (tests, bench gates) but grows no new fields.
-  struct Stats {
-    std::uint64_t requests = 0;   ///< map() calls
-    std::uint64_t hits = 0;       ///< served from the result cache
-    std::uint64_t coalesced = 0;  ///< joined another caller's in-flight solve
-    std::uint64_t misses = 0;     ///< led a fresh solve (requests = hits + coalesced + misses)
-    std::uint64_t solves = 0;     ///< leader solves that completed successfully
-    std::uint64_t failures = 0;   ///< leader solves that threw (nothing cached)
-    std::uint64_t evictions = 0;  ///< entries dropped by the LRU policy
-  };
 
   static constexpr std::size_t kDefaultCapacity = 64;
 
@@ -107,10 +91,11 @@ class MappingService {
                                              const arch::CouplingMap& architecture,
                                              const MapOptions& options);
 
-  [[nodiscard]] Stats stats() const;
   [[nodiscard]] std::size_t size() const;         ///< cached entries
   [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
-  void clear();                                   ///< drop cached results (not stats)
+  /// Drops cached results. The `qxmap_service_*` counters are process-
+  /// lifetime tallies and keep counting.
+  void clear();
 
  private:
   struct Entry {
@@ -129,7 +114,6 @@ class MappingService {
   std::list<std::string> lru_;  // front = most recently used
   std::unordered_map<std::string, Entry> cache_;
   std::unordered_map<std::string, std::shared_future<exact::MappingResult>> in_flight_;
-  Stats stats_;
 };
 
 }  // namespace qxmap::api

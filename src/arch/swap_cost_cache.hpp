@@ -25,7 +25,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <list>
 #include <memory>
 #include <mutex>
@@ -44,17 +43,6 @@ class SwapCostCache {
  public:
   static constexpr std::size_t kDefaultCapacity = 64;
 
-  /// Hit/miss/eviction counters of one store (snapshot).
-  ///
-  /// \deprecated Also published as `qxmap_swap_cost_cache_{table,distance}_*`
-  /// counters on `obs::MetricsRegistry` (docs/observability.md) — prefer
-  /// those for monitoring; this snapshot stays for test assertions.
-  struct Stats {
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
-    std::uint64_t evictions = 0;
-  };
-
   /// \param capacity maximum entries per store (clamped to >= 1).
   explicit SwapCostCache(std::size_t capacity = kDefaultCapacity);
 
@@ -69,7 +57,9 @@ class SwapCostCache {
   /// The all-pairs distance matrix for `cm`, built on first use.
   [[nodiscard]] std::shared_ptr<const DistanceMatrix> distances(const CouplingMap& cm);
 
-  /// Drops every entry (outstanding handles stay valid) and resets stats.
+  /// Drops every entry (outstanding handles stay valid). The
+  /// `qxmap_swap_cost_cache_*` counters are process-lifetime tallies and
+  /// keep counting.
   void clear();
 
   /// Changes the per-store capacity (clamped to >= 1), evicting LRU entries
@@ -79,8 +69,6 @@ class SwapCostCache {
   [[nodiscard]] std::size_t capacity() const;
   [[nodiscard]] std::size_t table_entries() const;
   [[nodiscard]] std::size_t distance_entries() const;
-  [[nodiscard]] Stats table_stats() const;
-  [[nodiscard]] Stats distance_stats() const;
 
  private:
   template <typename Value>
@@ -89,14 +77,16 @@ class SwapCostCache {
       std::shared_ptr<const Value> value;
       std::list<std::string>::iterator lru_it;
     };
+    LruStore(obs::Counter& hits_total, obs::Counter& misses_total,
+             obs::Counter& evictions_total)
+        : hits(hits_total), misses(misses_total), evictions(evictions_total) {}
+
     std::list<std::string> lru;  // front = most recently used
     std::unordered_map<std::string, Entry> entries;
-    Stats stats;
-    // Registry twins of `stats`, wired up in the SwapCostCache constructor
-    // (null only if registration were skipped; never in practice).
-    obs::Counter* m_hits = nullptr;
-    obs::Counter* m_misses = nullptr;
-    obs::Counter* m_evictions = nullptr;
+    // Process-wide registry counters, shared by every SwapCostCache.
+    obs::Counter& hits;
+    obs::Counter& misses;
+    obs::Counter& evictions;
 
     // All three run under the owning cache's mutex.
     std::shared_ptr<const Value> find_and_touch(const std::string& key);

@@ -568,7 +568,9 @@ MappingResult map_exact(const Circuit& circuit, const arch::CouplingMap& cm,
   res.bound_polls = total_polls.load(std::memory_order_relaxed);
   res.bound_tightenings = total_tightenings.load(std::memory_order_relaxed);
   static obs::Counter& instances_total = obs::MetricsRegistry::instance().counter(
-      "qxmap_exact_instances_solved_total", "Subset-instance shard tasks run to a verdict");
+      "qxmap_exact_instances_solved_total",
+      "Subset-instance shard tasks dequeued by maps that returned, including tasks "
+      "skipped once a lower index proved cost 0");
   instances_total.inc(static_cast<std::uint64_t>(started.load(std::memory_order_relaxed)));
 
   // --- Deterministic reduction -------------------------------------------

@@ -14,9 +14,7 @@ namespace qxmap::exact {
 
 namespace {
 
-/// Registry handles for the executor (docs/observability.md). The Stats
-/// struct remains the deterministic programmatic snapshot; these add the
-/// queue-wait / run-time distributions that a snapshot cannot carry.
+/// Registry handles for the executor (docs/observability.md).
 struct ExecutorMetrics {
   obs::Counter& requests;
   obs::Counter& tasks_submitted;
@@ -140,10 +138,6 @@ std::shared_ptr<ShardExecutor::Request> ShardExecutor::submit(
     for (std::size_t i = 0; i < priorities.size(); ++i) {
       queue_.insert(QueuedTask{priorities[i], request->seq, i, enqueue_ns, request});
     }
-    ++stats_.requests;
-    stats_.tasks_submitted += priorities.size();
-    stats_.queue_depth_high_water =
-        std::max<std::uint64_t>(stats_.queue_depth_high_water, queue_.size());
     metrics.requests.inc();
     metrics.tasks_submitted.inc(priorities.size());
     metrics.queue_depth.set(static_cast<long long>(queue_.size()));
@@ -212,11 +206,6 @@ std::size_t ShardExecutor::num_threads() const {
   return threads_.size();
 }
 
-ShardExecutor::Stats ShardExecutor::stats() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return stats_;
-}
-
 void ShardExecutor::worker_loop() {
   std::unique_lock<std::mutex> lock(mutex_);
   for (;;) {
@@ -274,8 +263,6 @@ void ShardExecutor::run_one(Queue::iterator it, std::unique_lock<std::mutex>& lo
   lock.lock();
   --task.request->in_flight;
   --task.request->remaining;
-  ++stats_.tasks_executed;
-  if (error) ++stats_.tasks_failed;
   if (error && !task.request->error) task.request->error = error;
   // Wakes request waiters, workers blocked on this request's cap, and the
   // drain path. Coarse, but completions are solver-scale events.
@@ -285,7 +272,6 @@ void ShardExecutor::run_one(Queue::iterator it, std::unique_lock<std::mutex>& lo
 void ShardExecutor::spawn_to(std::size_t target) {
   while (threads_.size() < target) {
     threads_.emplace_back([this] { worker_loop(); });
-    ++stats_.threads_spawned;
     ExecutorMetrics::get().threads_spawned.inc();
   }
 }

@@ -3,7 +3,8 @@
 /// must share entries; result-affecting options must fork them), in-flight
 /// deduplication under concurrency (exactly one solve for N identical
 /// requests), failure propagation without cache poisoning, and a mixed
-/// multi-architecture hammer meant to run under TSan.
+/// multi-architecture hammer meant to run under TSan. Counts are read as
+/// deltas of the `qxmap_service_*` registry counters.
 
 #include <gtest/gtest.h>
 
@@ -19,6 +20,7 @@
 #include "obs/trace.hpp"
 #include "arch/coupling_json.hpp"
 #include "bench_circuits/generators.hpp"
+#include "metrics_test_helpers.hpp"
 
 namespace qxmap {
 namespace {
@@ -31,6 +33,22 @@ Circuit small_circuit(const std::string& name, std::uint64_t seed = 7) {
   c.set_name(name);
   return c;
 }
+
+/// The service counters' increase since construction. Construct it after a
+/// MappingService, whose constructor registers them.
+struct ServiceCounts {
+  testutil::CounterDelta requests{"qxmap_service_requests_total"};
+  testutil::CounterDelta hits{"qxmap_service_cache_hits_total"};
+  testutil::CounterDelta joins{"qxmap_service_dedup_joins_total"};
+  testutil::CounterDelta misses{"qxmap_service_cache_misses_total"};
+  testutil::CounterDelta solves{"qxmap_service_solves_total"};
+  testutil::CounterDelta failures{"qxmap_service_failures_total"};
+  testutil::CounterDelta evictions{"qxmap_service_cache_evictions_total"};
+
+  /// Requests that took a path (hit, join or lead): each is counted under
+  /// the service lock, together with the cache or in-flight lookup.
+  [[nodiscard]] std::uint64_t routed() const { return hits() + joins() + misses(); }
+};
 
 MapOptions exact_options() {
   MapOptions o;
@@ -67,16 +85,54 @@ void expect_hit_identical(const MappingResult& fresh, const MappingResult& hit) 
 
 TEST(MappingServiceCache, HitIsBitIdenticalToThePopulatingSolve) {
   MappingService service(4);
+  const ServiceCounts counts;
   const Circuit c = small_circuit("svc-identity");
   const auto cm = arch::ibm_qx4();
   const MappingResult fresh = service.map(c, cm, exact_options());
   const MappingResult hit = service.map(c, cm, exact_options());
   expect_hit_identical(fresh, hit);
-  const auto stats = service.stats();
-  EXPECT_EQ(stats.requests, 2u);
-  EXPECT_EQ(stats.hits, 1u);
-  EXPECT_EQ(stats.misses, 1u);
-  EXPECT_EQ(stats.solves, 1u);
+  EXPECT_EQ(counts.requests(), 2u);
+  EXPECT_EQ(counts.hits(), 1u);
+  EXPECT_EQ(counts.misses(), 1u);
+  EXPECT_EQ(counts.solves(), 1u);
+}
+
+TEST(MappingServiceCache, ConstructorRegistersTheServiceCounters) {
+  // A scrape before the first request already lists every qxmap_service_*
+  // series: ServiceCounts throws on a name nothing has registered.
+  const MappingService service(1);
+  EXPECT_NO_THROW((void)ServiceCounts{});
+}
+
+TEST(MappingServiceCache, ClearDropsEntriesButKeepsCounters) {
+  std::atomic<int> calls{0};
+  MappingService service(4, [&](const Circuit& c, const arch::CouplingMap&, const MapOptions&) {
+    ++calls;
+    MappingResult r;
+    r.mapped = Circuit(5, c.name() + "/mapped");
+    r.routed_skeleton = Circuit(5, c.name() + "/routed-skeleton");
+    r.status = reason::Status::Optimal;
+    return r;
+  });
+  const ServiceCounts counts;
+  const Circuit c = small_circuit("svc-clear");
+  const auto cm = arch::ibm_qx4();
+  (void)service.map(c, cm, exact_options());                // miss
+  EXPECT_TRUE(service.map(c, cm, exact_options()).from_cache);  // hit
+  service.clear();
+  EXPECT_EQ(service.size(), 0u);
+  // The counters are process-lifetime tallies: clear() neither resets them
+  // nor counts the dropped entry as an eviction.
+  EXPECT_EQ(counts.requests(), 2u);
+  EXPECT_EQ(counts.hits(), 1u);
+  EXPECT_EQ(counts.misses(), 1u);
+  EXPECT_EQ(counts.solves(), 1u);
+  EXPECT_EQ(counts.evictions(), 0u);
+  // The entry is gone: the same request solves again.
+  EXPECT_FALSE(service.map(c, cm, exact_options()).from_cache);
+  EXPECT_EQ(calls.load(), 2);
+  EXPECT_EQ(counts.misses(), 2u);
+  EXPECT_EQ(counts.hits(), 1u);
 }
 
 TEST(MappingServiceCache, CachedHitEmitsCacheHitSpanAndNoSolverSpans) {
@@ -130,6 +186,7 @@ TEST(MappingServiceCache, HitRestampsNamesForTheRequestingCircuit) {
 
 TEST(MappingServiceCache, LruEvictionDropsLeastRecentlyUsed) {
   MappingService service(2);
+  const ServiceCounts counts;
   const auto cm = arch::ibm_qx4();
   const Circuit a = small_circuit("lru-a", 11);
   const Circuit b = small_circuit("lru-b", 22);
@@ -142,7 +199,7 @@ TEST(MappingServiceCache, LruEvictionDropsLeastRecentlyUsed) {
   EXPECT_TRUE(service.map(a, cm, o).from_cache);  // a refreshed: [a, b]
   (void)service.map(c, cm, o);                    // evicts b:    [c, a]
   EXPECT_EQ(service.size(), 2u);
-  EXPECT_EQ(service.stats().evictions, 1u);
+  EXPECT_EQ(counts.evictions(), 1u);
   EXPECT_TRUE(service.map(a, cm, o).from_cache);   // a survived
   EXPECT_TRUE(service.map(c, cm, o).from_cache);   // c cached
   EXPECT_FALSE(service.map(b, cm, o).from_cache);  // b was the eviction victim
@@ -150,12 +207,13 @@ TEST(MappingServiceCache, LruEvictionDropsLeastRecentlyUsed) {
 
 TEST(MappingServiceCache, ZeroCapacityNeverCaches) {
   MappingService service(0);
+  const ServiceCounts counts;
   const Circuit c = small_circuit("svc-nocache");
   const auto cm = arch::ibm_qx4();
   EXPECT_FALSE(service.map(c, cm, exact_options()).from_cache);
   EXPECT_FALSE(service.map(c, cm, exact_options()).from_cache);
   EXPECT_EQ(service.size(), 0u);
-  EXPECT_EQ(service.stats().solves, 2u);
+  EXPECT_EQ(counts.solves(), 2u);
 }
 
 TEST(MappingServiceKey, PerformanceKnobsDoNotForkEntries) {
@@ -171,9 +229,10 @@ TEST(MappingServiceKey, PerformanceKnobsDoNotForkEntries) {
   // End to end: a 1-thread miss then an 8-thread request — the latter must
   // hit the former's entry.
   MappingService service(4);
+  const ServiceCounts counts;
   EXPECT_FALSE(service.map(c, cm, base).from_cache);
   EXPECT_TRUE(service.map(c, cm, threads8).from_cache);
-  EXPECT_EQ(service.stats().solves, 1u);
+  EXPECT_EQ(counts.solves(), 1u);
 }
 
 TEST(MappingServiceKey, ResultAffectingOptionsForkEntries) {
@@ -324,6 +383,7 @@ TEST(MappingServiceDedup, NIdenticalConcurrentRequestsShareOneSolve) {
   constexpr int kCallers = 8;
   GatedSolver solver;
   MappingService service(4, solver.fn());
+  const ServiceCounts counts;
   const Circuit c = small_circuit("svc-dedup");
   const auto cm = arch::ibm_qx4();
 
@@ -338,20 +398,19 @@ TEST(MappingServiceDedup, NIdenticalConcurrentRequestsShareOneSolve) {
   }
   // Wait until every caller has either joined the in-flight solve or hit
   // the cache, then let the leader finish.
-  while (service.stats().requests < kCallers) {
+  while (counts.routed() < kCallers) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   solver.release = true;
   for (auto& t : callers) t.join();
 
   EXPECT_EQ(solver.calls.load(), 1);  // exactly one solve
-  const auto stats = service.stats();
-  EXPECT_EQ(stats.requests, static_cast<std::uint64_t>(kCallers));
-  EXPECT_EQ(stats.misses, 1u);
-  EXPECT_EQ(stats.solves, 1u);
+  EXPECT_EQ(counts.requests(), static_cast<std::uint64_t>(kCallers));
+  EXPECT_EQ(counts.misses(), 1u);
+  EXPECT_EQ(counts.solves(), 1u);
   // Every non-leader either coalesced onto the in-flight solve or (having
   // arrived after completion) hit the cache.
-  EXPECT_EQ(stats.coalesced + stats.hits, static_cast<std::uint64_t>(kCallers - 1));
+  EXPECT_EQ(counts.joins() + counts.hits(), static_cast<std::uint64_t>(kCallers - 1));
   for (const auto& r : results) {
     EXPECT_EQ(r.cost_f, 42);
     EXPECT_EQ(r.status, reason::Status::Optimal);
@@ -368,17 +427,18 @@ TEST(MappingServiceDedup, FailingSolveIsRetriedNotCached) {
     r.status = reason::Status::Optimal;
     return r;
   });
+  const ServiceCounts counts;
   const Circuit c = small_circuit("svc-retry");
   const auto cm = arch::ibm_qx4();
   EXPECT_THROW((void)service.map(c, cm, exact_options()), std::runtime_error);
   EXPECT_EQ(service.size(), 0u);  // nothing cached
-  EXPECT_EQ(service.stats().failures, 1u);
+  EXPECT_EQ(counts.failures(), 1u);
   // The retry leads a fresh solve (no poisoned in-flight entry to join).
   const MappingResult r = service.map(c, cm, exact_options());
   EXPECT_FALSE(r.from_cache);
   EXPECT_EQ(r.status, reason::Status::Optimal);
   EXPECT_EQ(calls.load(), 2);
-  EXPECT_EQ(service.stats().solves, 1u);
+  EXPECT_EQ(counts.solves(), 1u);
 }
 
 TEST(MappingServiceDedup, FailurePropagatesToEveryJoiner) {
@@ -390,6 +450,7 @@ TEST(MappingServiceDedup, FailurePropagatesToEveryJoiner) {
     throw std::runtime_error("shared failure");
     return MappingResult{};  // unreachable
   });
+  const ServiceCounts counts;
   const Circuit c = small_circuit("svc-joinfail");
   const auto cm = arch::ibm_qx4();
 
@@ -405,7 +466,7 @@ TEST(MappingServiceDedup, FailurePropagatesToEveryJoiner) {
       }
     });
   }
-  while (service.stats().requests < kCallers) {
+  while (counts.routed() < kCallers) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   solver.release = true;
@@ -421,9 +482,11 @@ TEST(MappingServiceDedup, FailurePropagatesToEveryJoiner) {
 /// keys: every data path of the service (hit, miss, coalesce, evict) under
 /// real solver traffic. Assertions are deliberately coarse — the point of
 /// this test is being race-free under `-fsanitize=thread` (the CI tsan
-/// job), not the exact interleaving counts.
+/// job), not the exact interleaving counts — but the counter invariants
+/// hold under any interleaving.
 TEST(MappingServiceStress, MixedHammerAcrossArchitecturesIsRaceFree) {
   MappingService service(6);
+  const ServiceCounts counts;
   const std::vector<arch::CouplingMap> archs = {arch::ibm_qx2(), arch::ibm_qx4(),
                                                 arch::ibm_qx5(), arch::ibm_tokyo()};
   MapOptions o = exact_options();
@@ -450,11 +513,10 @@ TEST(MappingServiceStress, MixedHammerAcrossArchitecturesIsRaceFree) {
   }
   for (auto& t : pool) t.join();
   EXPECT_EQ(completed.load(), kThreads * kIterations);
-  const auto stats = service.stats();
-  EXPECT_EQ(stats.requests, static_cast<std::uint64_t>(kThreads * kIterations));
-  EXPECT_EQ(stats.hits + stats.coalesced + stats.misses, stats.requests);
-  EXPECT_EQ(stats.solves + stats.failures, stats.misses);
-  EXPECT_EQ(stats.failures, 0u);
+  EXPECT_EQ(counts.requests(), static_cast<std::uint64_t>(kThreads * kIterations));
+  EXPECT_EQ(counts.hits() + counts.joins() + counts.misses(), counts.requests());
+  EXPECT_EQ(counts.solves() + counts.failures(), counts.misses());
+  EXPECT_EQ(counts.failures(), 0u);
 }
 
 }  // namespace

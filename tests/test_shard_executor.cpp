@@ -4,7 +4,8 @@
 /// with a zero-worker pool), pool growth to honour explicit caps on small
 /// machines, exception containment, request interleaving, and the
 /// shutdown-ordering regression — destruction with queued work drains
-/// cleanly instead of abandoning tasks.
+/// cleanly instead of abandoning tasks. Counts are read as deltas of the
+/// process-wide `qxmap_executor_*` registry metrics.
 
 #include <gtest/gtest.h>
 
@@ -19,10 +20,12 @@
 #include <vector>
 
 #include "exact/shard_executor.hpp"
-#include "obs/metrics.hpp"
+#include "metrics_test_helpers.hpp"
 
 namespace qxmap::exact {
 namespace {
+
+using testutil::CounterDelta;
 
 std::vector<long long> ascending(std::size_t n) {
   std::vector<long long> p(n);
@@ -32,6 +35,9 @@ std::vector<long long> ascending(std::size_t n) {
 
 TEST(ShardExecutor, RunsEveryTaskExactlyOnce) {
   ShardExecutor ex(3);
+  const CounterDelta requests("qxmap_executor_requests_total");
+  const CounterDelta submitted("qxmap_executor_tasks_submitted_total");
+  const CounterDelta executed("qxmap_executor_tasks_executed_total");
   constexpr std::size_t kTasks = 64;
   std::vector<std::atomic<int>> runs(kTasks);
   auto req = ex.submit([&](std::size_t i) { ++runs[i]; }, ascending(kTasks), 4);
@@ -39,10 +45,9 @@ TEST(ShardExecutor, RunsEveryTaskExactlyOnce) {
   for (std::size_t i = 0; i < kTasks; ++i) {
     EXPECT_EQ(runs[i].load(), 1) << "task " << i;
   }
-  const auto stats = ex.stats();
-  EXPECT_EQ(stats.requests, 1u);
-  EXPECT_EQ(stats.tasks_submitted, kTasks);
-  EXPECT_EQ(stats.tasks_executed, kTasks);
+  EXPECT_EQ(requests(), 1u);
+  EXPECT_EQ(submitted(), kTasks);
+  EXPECT_EQ(executed(), kTasks);
 }
 
 TEST(ShardExecutor, SerialPopOrderFollowsPriorityThenIndex) {
@@ -90,6 +95,7 @@ TEST(ShardExecutor, PoolGrowsToHonourExplicitCap) {
   // when the base pool (and the machine) is smaller.
   constexpr std::size_t kCap = 6;
   ShardExecutor ex(1);
+  const CounterDelta spawned("qxmap_executor_threads_spawned_total");
   std::mutex m;
   std::condition_variable cv;
   std::size_t arrived = 0;
@@ -103,7 +109,9 @@ TEST(ShardExecutor, PoolGrowsToHonourExplicitCap) {
       ascending(kCap), kCap);
   ex.run_to_completion(req);
   EXPECT_EQ(arrived, kCap);
-  EXPECT_GE(ex.stats().threads_spawned, kCap - 1);
+  EXPECT_GE(ex.num_threads(), kCap - 1);
+  // The base worker was spawned by the constructor; the rest by growth.
+  EXPECT_EQ(spawned(), ex.num_threads() - 1);
 }
 
 TEST(ShardExecutor, FirstExceptionIsRethrownAfterAllTasksRan) {
@@ -123,6 +131,8 @@ TEST(ShardExecutor, FirstExceptionIsRethrownAfterAllTasksRan) {
 
 TEST(ShardExecutor, ConcurrentRequestsBothComplete) {
   ShardExecutor ex(2);
+  const CounterDelta requests("qxmap_executor_requests_total");
+  const CounterDelta executed("qxmap_executor_tasks_executed_total");
   std::atomic<int> a{0};
   std::atomic<int> b{0};
   std::thread other([&] {
@@ -133,8 +143,8 @@ TEST(ShardExecutor, ConcurrentRequestsBothComplete) {
   other.join();
   EXPECT_EQ(a.load(), 16);
   EXPECT_EQ(b.load(), 16);
-  EXPECT_EQ(ex.stats().requests, 2u);
-  EXPECT_EQ(ex.stats().tasks_executed, 32u);
+  EXPECT_EQ(requests(), 2u);
+  EXPECT_EQ(executed(), 32u);
 }
 
 TEST(ShardExecutor, EmptyBatchIsRejected) {
@@ -213,34 +223,22 @@ TEST(ShardExecutorShutdown, ResizeUpAndDownKeepsExecutingCorrectly) {
   EXPECT_EQ(ran.load(), 24);
 }
 
-TEST(ShardExecutor, MetricsReconcileWithStats) {
-  // The executor publishes its tallies both through stats() (deprecated,
-  // per-executor) and the process-wide obs::MetricsRegistry (aggregated
-  // across executors). Deltas over one batch must reconcile.
-  auto& reg = obs::MetricsRegistry::instance();
-  obs::Counter& m_requests =
-      reg.counter("qxmap_executor_requests_total", "Task batches submitted");
-  obs::Counter& m_submitted =
-      reg.counter("qxmap_executor_tasks_submitted_total", "Shard tasks enqueued");
-  obs::Counter& m_executed =
-      reg.counter("qxmap_executor_tasks_executed_total", "Shard tasks completed");
-  obs::Counter& m_failed =
-      reg.counter("qxmap_executor_tasks_failed_total", "Shard tasks that threw");
-  obs::Histogram& m_wait =
-      reg.histogram("qxmap_executor_queue_wait_us", "Queue wait per task (µs)");
-  obs::Histogram& m_run = reg.histogram("qxmap_executor_task_run_us", "Run time per task (µs)");
-  obs::Gauge& m_depth = reg.gauge("qxmap_executor_queue_depth", "Queued (not in-flight) tasks");
-
-  const auto requests0 = m_requests.value();
-  const auto submitted0 = m_submitted.value();
-  const auto executed0 = m_executed.value();
-  const auto failed0 = m_failed.value();
-  const auto wait0 = m_wait.count();
-  const auto run0 = m_run.count();
-
+TEST(ShardExecutor, MetricsCountEveryTaskOfAFailingBatch) {
+  // The registry metrics are summed over every executor in the process;
+  // nothing else runs here, so the deltas over one batch are exact.
   constexpr std::size_t kTasks = 40;
   ShardExecutor ex(2);
-  const ShardExecutor::Stats before = ex.stats();
+  const CounterDelta requests("qxmap_executor_requests_total");
+  const CounterDelta submitted("qxmap_executor_tasks_submitted_total");
+  const CounterDelta executed("qxmap_executor_tasks_executed_total");
+  const CounterDelta failed("qxmap_executor_tasks_failed_total");
+  const obs::Histogram& wait = testutil::library_histogram("qxmap_executor_queue_wait_us");
+  const obs::Histogram& run = testutil::library_histogram("qxmap_executor_task_run_us");
+  const obs::Gauge& depth = testutil::library_gauge("qxmap_executor_queue_depth");
+  const obs::Gauge& high_water = testutil::library_gauge("qxmap_executor_queue_depth_high_water");
+  const auto wait0 = wait.count();
+  const auto run0 = run.count();
+
   std::atomic<int> ran{0};
   auto req = ex.submit(
       [&](std::size_t i) {
@@ -249,27 +247,17 @@ TEST(ShardExecutor, MetricsReconcileWithStats) {
       },
       ascending(kTasks), 3);
   EXPECT_THROW(ex.run_to_completion(req), std::runtime_error);
-  const ShardExecutor::Stats after = ex.stats();
 
-  // Per-executor stats for this batch.
-  EXPECT_EQ(after.requests - before.requests, 1u);
-  EXPECT_EQ(after.tasks_submitted - before.tasks_submitted, kTasks);
-  EXPECT_EQ(after.tasks_executed - before.tasks_executed, kTasks);
-  EXPECT_EQ(after.tasks_failed - before.tasks_failed, 1u);
-  EXPECT_GE(after.queue_depth_high_water, 1u);
-  EXPECT_LE(after.queue_depth_high_water, kTasks);
-
-  // Registry deltas carry the same tallies (>= because other executors may
-  // run concurrently in this process; == in this single-threaded test).
-  EXPECT_EQ(m_requests.value() - requests0, 1);
-  EXPECT_EQ(m_submitted.value() - submitted0, static_cast<long long>(kTasks));
-  EXPECT_EQ(m_executed.value() - executed0, static_cast<long long>(kTasks));
-  EXPECT_EQ(m_failed.value() - failed0, 1);
+  EXPECT_EQ(requests(), 1u);
+  EXPECT_EQ(submitted(), kTasks);
+  EXPECT_EQ(executed(), kTasks);
+  EXPECT_EQ(failed(), 1u);
   // Every executed task observed one queue-wait and one run-time sample.
-  EXPECT_EQ(m_wait.count() - wait0, kTasks);
-  EXPECT_EQ(m_run.count() - run0, kTasks);
-  // The queue fully drained.
-  EXPECT_EQ(m_depth.value(), 0);
+  EXPECT_EQ(wait.count() - wait0, kTasks);
+  EXPECT_EQ(run.count() - run0, kTasks);
+  // The whole batch sat queued once; the queue fully drained.
+  EXPECT_GE(high_water.value(), static_cast<long long>(kTasks));
+  EXPECT_EQ(depth.value(), 0);
 }
 
 TEST(ShardExecutorShutdown, ProcessWideInstanceIsUsable) {

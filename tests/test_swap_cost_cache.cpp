@@ -1,4 +1,5 @@
-/// SwapCostCache semantics: hit/miss accounting, fingerprint separation of
+/// SwapCostCache semantics: hit/miss accounting (deltas of the process-wide
+/// `qxmap_swap_cost_cache_*` counters), fingerprint separation of
 /// structurally distinct coupling maps, LRU eviction at capacity, handle
 /// stability across eviction, and multi-threaded hammering of one cache.
 
@@ -8,18 +9,33 @@
 
 #include <memory>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "api/qxmap.hpp"
 #include "arch/architectures.hpp"
 #include "common/permutation.hpp"
+#include "metrics_test_helpers.hpp"
 
 namespace qxmap {
 namespace {
 
 using arch::CouplingMap;
 using arch::SwapCostCache;
+
+/// One store's counters' increase since construction ("table" or
+/// "distance"). Every SwapCostCache feeds the same counters; construct it
+/// after a cache, whose constructor registers them.
+struct StoreCounts {
+  explicit StoreCounts(const std::string& store)
+      : hits("qxmap_swap_cost_cache_" + store + "_hits_total"),
+        misses("qxmap_swap_cost_cache_" + store + "_misses_total"),
+        evictions("qxmap_swap_cost_cache_" + store + "_evictions_total") {}
+  testutil::CounterDelta hits;
+  testutil::CounterDelta misses;
+  testutil::CounterDelta evictions;
+};
 
 TEST(Fingerprint, EncodesQubitCountAndDirectedEdges) {
   const CouplingMap a(3, {{0, 1}, {1, 2}});
@@ -52,15 +68,15 @@ TEST(Fingerprint, QubitCountMattersBeyondEdges) {
 
 TEST(SwapCostCacheTest, MissThenHitSharesOneTable) {
   SwapCostCache cache(4);
+  const StoreCounts counts("table");
   const auto cm = arch::ibm_qx4();
   const auto first = cache.table(cm);
   const auto second = cache.table(cm);
   EXPECT_EQ(first.get(), second.get());
   EXPECT_EQ(cache.table_entries(), 1u);
-  const auto stats = cache.table_stats();
-  EXPECT_EQ(stats.misses, 1u);
-  EXPECT_EQ(stats.hits, 1u);
-  EXPECT_EQ(stats.evictions, 0u);
+  EXPECT_EQ(counts.misses(), 1u);
+  EXPECT_EQ(counts.hits(), 1u);
+  EXPECT_EQ(counts.evictions(), 0u);
   // The cached table is the real thing.
   EXPECT_EQ(first->swaps(Permutation(5)), 0);
   EXPECT_EQ(first->max_swaps(), arch::SwapCostTable(cm).max_swaps());
@@ -94,6 +110,7 @@ TEST(SwapCostCacheTest, DirectedVsBidirectedGetDistinctEntries) {
 
 TEST(SwapCostCacheTest, LruEvictionAtCapacity) {
   SwapCostCache cache(2);
+  const StoreCounts counts("table");
   const auto a = arch::linear(3);
   const auto b = arch::ring(3);
   const auto c = arch::clique(3);
@@ -105,15 +122,15 @@ TEST(SwapCostCacheTest, LruEvictionAtCapacity) {
   (void)cache.table(a);  // touch a: b becomes least recently used
   (void)cache.table(c);  // inserts c, evicts b
   EXPECT_EQ(cache.table_entries(), 2u);
-  EXPECT_EQ(cache.table_stats().evictions, 1u);
+  EXPECT_EQ(counts.evictions(), 1u);
 
   // a survived (hit), b was evicted (miss again), and the handle returned
   // for a is still the original object.
-  const auto before = cache.table_stats();
+  const StoreCounts after_eviction("table");
   EXPECT_EQ(cache.table(a).get(), ta.get());
-  EXPECT_EQ(cache.table_stats().hits, before.hits + 1);
+  EXPECT_EQ(after_eviction.hits(), 1u);
   (void)cache.table(b);
-  EXPECT_EQ(cache.table_stats().misses, before.misses + 1);
+  EXPECT_EQ(after_eviction.misses(), 1u);
 }
 
 TEST(SwapCostCacheTest, EvictedHandleStaysValid) {
@@ -129,27 +146,41 @@ TEST(SwapCostCacheTest, EvictedHandleStaysValid) {
 
 TEST(SwapCostCacheTest, SetCapacityEvictsImmediately) {
   SwapCostCache cache(4);
+  const StoreCounts counts("table");
   (void)cache.table(arch::linear(3));
   (void)cache.table(arch::ring(3));
   (void)cache.table(arch::clique(3));
   EXPECT_EQ(cache.table_entries(), 3u);
   cache.set_capacity(1);
   EXPECT_EQ(cache.table_entries(), 1u);
-  EXPECT_EQ(cache.table_stats().evictions, 2u);
+  EXPECT_EQ(counts.evictions(), 2u);
   // Capacity is clamped to at least one entry.
   cache.set_capacity(0);
   EXPECT_EQ(cache.capacity(), 1u);
 }
 
-TEST(SwapCostCacheTest, ClearDropsEntriesAndStats) {
+TEST(SwapCostCacheTest, ClearDropsEntriesButKeepsCounters) {
   SwapCostCache cache(4);
+  const StoreCounts table("table");
+  const StoreCounts distance("distance");
   (void)cache.table(arch::ibm_qx4());
   (void)cache.distances(arch::ibm_qx4());
   cache.clear();
   EXPECT_EQ(cache.table_entries(), 0u);
   EXPECT_EQ(cache.distance_entries(), 0u);
-  EXPECT_EQ(cache.table_stats().misses, 0u);
-  EXPECT_EQ(cache.distance_stats().misses, 0u);
+  // The counters are process-lifetime tallies: clear() neither resets them
+  // nor counts the dropped entries as evictions.
+  EXPECT_EQ(table.misses(), 1u);
+  EXPECT_EQ(distance.misses(), 1u);
+  EXPECT_EQ(table.evictions(), 0u);
+  EXPECT_EQ(distance.evictions(), 0u);
+  // The entries are gone: the next lookups miss and rebuild.
+  (void)cache.table(arch::ibm_qx4());
+  (void)cache.distances(arch::ibm_qx4());
+  EXPECT_EQ(table.misses(), 2u);
+  EXPECT_EQ(distance.misses(), 2u);
+  EXPECT_EQ(table.hits(), 0u);
+  EXPECT_EQ(distance.hits(), 0u);
 }
 
 TEST(SwapCostCacheTest, OversizedArchitectureErrorIsNotCached) {
@@ -164,6 +195,7 @@ TEST(SwapCostCacheTest, OversizedArchitectureErrorIsNotCached) {
 
 TEST(SwapCostCacheTest, ManyThreadsHammerOneTable) {
   SwapCostCache cache(4);
+  const StoreCounts counts("table");
   const auto cm = arch::ibm_qx4();
   constexpr int kThreads = 8;
   constexpr int kIterations = 200;
@@ -189,18 +221,18 @@ TEST(SwapCostCacheTest, ManyThreadsHammerOneTable) {
     EXPECT_EQ(seen[static_cast<std::size_t>(t)].get(), seen[0].get());
   }
   EXPECT_EQ(cache.table_entries(), 1u);
-  const auto stats = cache.table_stats();
   // Simultaneous first misses may build duplicates (bounded by the thread
   // count), but every lookup is accounted for.
-  EXPECT_GE(stats.misses, 1u);
-  EXPECT_LE(stats.misses, static_cast<std::uint64_t>(kThreads));
-  EXPECT_EQ(stats.hits + stats.misses,
+  EXPECT_GE(counts.misses(), 1u);
+  EXPECT_LE(counts.misses(), static_cast<std::uint64_t>(kThreads));
+  EXPECT_EQ(counts.hits() + counts.misses(),
             static_cast<std::uint64_t>(kThreads) * static_cast<std::uint64_t>(kIterations));
 }
 
 TEST(SwapCostCacheTest, ConcurrentMapCallsShareTheProcessWideCache) {
   auto& cache = SwapCostCache::instance();
   cache.clear();
+  const StoreCounts counts("table");
 
   Circuit c(3, "cache-hammer");
   c.cnot(0, 1);
@@ -228,7 +260,7 @@ TEST(SwapCostCacheTest, ConcurrentMapCallsShareTheProcessWideCache) {
   }
   // The subset instances of all four concurrent calls fed one cache; the
   // distinct induced 3-subset shapes of QX4 are far fewer than the lookups.
-  EXPECT_GE(cache.table_stats().hits, 1u);
+  EXPECT_GE(counts.hits(), 1u);
   EXPECT_GT(cache.table_entries(), 0u);
 }
 
