@@ -1,12 +1,10 @@
 /// Micro-benchmarks for the home-grown CDCL solver substrate: propagation
-/// throughput on implication chains, learning on pigeonhole instances, and
-/// totalizer construction cost.
+/// throughput on implication chains and learning on pigeonhole instances.
 
 #include <benchmark/benchmark.h>
 
 #include "common/rng.hpp"
 #include "sat/solver.hpp"
-#include "sat/totalizer.hpp"
 
 namespace {
 
@@ -86,16 +84,5 @@ void BM_RandomThreeSat(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RandomThreeSat)->Arg(50)->Arg(100)->Arg(200)->Unit(benchmark::kMillisecond);
-
-void BM_TotalizerConstruction(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    sat::Solver s;
-    std::vector<Lit> inputs;
-    for (int i = 0; i < n; ++i) inputs.push_back(pos(s.new_var()));
-    benchmark::DoNotOptimize(sat::build_totalizer(s, inputs));
-  }
-}
-BENCHMARK(BM_TotalizerConstruction)->Arg(16)->Arg(64)->Arg(256)->Unit(benchmark::kMicrosecond);
 
 }  // namespace

@@ -82,7 +82,6 @@ std::string options_digest(const MapOptions& o, const arch::CouplingMap& archite
       d += ";budget_ms=" + std::to_string(e.budget.count());
       d += cost_model_digest(e.costs, architecture);
       d += ";verify=" + std::to_string(e.verify ? 1 : 0);
-      d += ";deep_verify_max=" + std::to_string(e.deep_verify_max_qubits);
       return d;
     }
     case Method::StochasticSwap: {

@@ -32,7 +32,7 @@ CouplingMap::CouplingMap(int num_physical, std::vector<std::pair<int, int>> edge
   for (auto& nb : neighbours_) std::sort(nb.begin(), nb.end());
 
   // Built with append() rather than operator+ chains: GCC 12's -Wrestrict
-  // false-positives on the latter (same workaround as dimacs/z3_engine).
+  // false-positives on the latter (same workaround as z3_engine).
   fingerprint_ += 'm';
   fingerprint_ += std::to_string(m_);
   fingerprint_ += ':';

@@ -23,8 +23,6 @@
 #include "exact/swap_synthesis.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "sim/equivalence.hpp"
-#include "sim/linear_reversible.hpp"
 
 namespace qxmap::exact {
 
@@ -40,88 +38,47 @@ struct InstanceSolution {
   reason::Status status;
 };
 
-/// Rebuilds the physical circuit and the routing skeleton from a decoded
-/// model. Returns {mapped, skeleton, initial, final, swaps, reversed}.
-struct Reconstruction {
-  Circuit mapped;
-  Circuit skeleton;
-  std::vector<int> initial_layout;
-  std::vector<int> final_layout;
-  int swaps = 0;
-  int reversed = 0;
-};
-
-Reconstruction reconstruct(const Circuit& original, const arch::CouplingMap& cm,
-                           const InstanceSolution& best,
-                           const std::vector<std::size_t>& points) {
+/// Walks a decoded model into a route: the model's initial layout, then
+/// before each scheduled CNOT the SWAP sequence of its point permutation.
+RouteBuilder reconstruct(const Circuit& original, const arch::CouplingMap& cm,
+                         const InstanceSolution& best, const std::vector<std::size_t>& points) {
   const int n = original.num_qubits();
-  const int m = cm.num_physical();
-  Reconstruction out{Circuit(m, original.name() + "/mapped"),
-                     Circuit(m, original.name() + "/routed-skeleton"),
-                     {},
-                     {},
-                     0,
-                     0};
-
   const auto& subset = best.subset;
   const auto& layouts = best.solution.layouts;
 
-  // Current layout: logical j -> global physical qubit.
-  std::vector<int> cur(static_cast<std::size_t>(n));
+  // Layouts are logical j -> global physical qubit.
+  std::vector<int> initial(static_cast<std::size_t>(n));
   for (int j = 0; j < n; ++j) {
-    cur[static_cast<std::size_t>(j)] =
+    initial[static_cast<std::size_t>(j)] =
         subset[static_cast<std::size_t>(layouts[0][static_cast<std::size_t>(j)])];
   }
-  out.initial_layout = cur;
+  RouteBuilder route(original, cm, std::move(initial));
 
   std::size_t k = 0;          // CNOT index
   std::size_t point_idx = 0;  // index into points / point_perms
   for (const auto& g : original) {
-    if (g.kind == OpKind::Barrier) {
-      out.mapped.append(g);
-      continue;
-    }
-    if (g.is_nonunitary() || g.is_single_qubit()) {
-      // remapped() keeps params and any classical guard.
-      out.mapped.append(g.remapped(cur[static_cast<std::size_t>(g.target)]));
-      continue;
-    }
-    // CNOT: first apply the permutation scheduled before this gate, if any.
-    if (point_idx < points.size() && points[point_idx] == k) {
-      const Permutation& pi = best.solution.point_perms[point_idx];
-      for (const auto& [a, b] : best.table->swap_sequence(pi)) {
-        const int ga = subset[static_cast<std::size_t>(a)];
-        const int gb = subset[static_cast<std::size_t>(b)];
-        append_swap_realisation(out.mapped, cm, ga, gb);
-        out.skeleton.swap(ga, gb);
-        ++out.swaps;
-        for (auto& p : cur) {
-          if (p == ga) {
-            p = gb;
-          } else if (p == gb) {
-            p = ga;
-          }
+    if (g.is_cnot()) {
+      // First apply the permutation scheduled before this gate, if any.
+      if (point_idx < points.size() && points[point_idx] == k) {
+        const Permutation& pi = best.solution.point_perms[point_idx];
+        for (const auto& [a, b] : best.table->swap_sequence(pi)) {
+          route.swap(subset[static_cast<std::size_t>(a)], subset[static_cast<std::size_t>(b)]);
+        }
+        ++point_idx;
+      }
+      // Cross-check the walked layout against the model's x variables.
+      for (int j = 0; j < n; ++j) {
+        const int expected =
+            subset[static_cast<std::size_t>(layouts[k][static_cast<std::size_t>(j)])];
+        if (route.layout()[static_cast<std::size_t>(j)] != expected) {
+          throw std::logic_error("map_exact: reconstructed layout diverges from model");
         }
       }
-      ++point_idx;
+      ++k;
     }
-    // Cross-check the walked layout against the model's x variables.
-    for (int j = 0; j < n; ++j) {
-      const int expected =
-          subset[static_cast<std::size_t>(layouts[k][static_cast<std::size_t>(j)])];
-      if (cur[static_cast<std::size_t>(j)] != expected) {
-        throw std::logic_error("map_exact: reconstructed layout diverges from model");
-      }
-    }
-    const int pc = cur[static_cast<std::size_t>(g.control)];
-    const int pt = cur[static_cast<std::size_t>(g.target)];
-    out.skeleton.cnot(pc, pt);
-    if (!cm.allows(pc, pt)) ++out.reversed;
-    append_cnot_realisation(out.mapped, cm, pc, pt, g.condition);
-    ++k;
+    route.gate(g);
   }
-  out.final_layout = cur;
-  return out;
+  return route;
 }
 
 /// Deterministic greedy warm start: routes the circuit with shortest-path
@@ -134,36 +91,16 @@ Reconstruction reconstruct(const Circuit& original, const arch::CouplingMap& cm,
 /// symbolic instance can express any swap placement (PermutationStrategy::
 /// All over the full architecture); restricted strategies and proper
 /// subsets may not contain the greedy schedule.
-Reconstruction greedy_route(const Circuit& circuit, const arch::CouplingMap& cm) {
-  const int n = circuit.num_qubits();
-  const int m = cm.num_physical();
-  Reconstruction out{Circuit(m, circuit.name() + "/mapped"),
-                     Circuit(m, circuit.name() + "/routed-skeleton"),
-                     {},
-                     {},
-                     0,
-                     0};
+RouteBuilder greedy_route(const Circuit& circuit, const arch::CouplingMap& cm) {
   const auto dist_handle = arch::SwapCostCache::instance().distances(cm);
   const arch::DistanceMatrix& dist = *dist_handle;
-
-  std::vector<int> cur(static_cast<std::size_t>(n));
-  for (int j = 0; j < n; ++j) cur[static_cast<std::size_t>(j)] = j;
-  out.initial_layout = cur;
-
+  RouteBuilder route(circuit, cm);
+  const auto placed = [&route](int q) { return route.layout()[static_cast<std::size_t>(q)]; };
   for (const auto& g : circuit) {
-    if (g.kind == OpKind::Barrier) {
-      out.mapped.append(g);
-      continue;
-    }
-    if (g.is_nonunitary() || g.is_single_qubit()) {
-      out.mapped.append(g.remapped(cur[static_cast<std::size_t>(g.target)]));
-      continue;
-    }
-    for (;;) {
-      const int pc = cur[static_cast<std::size_t>(g.control)];
-      const int pt = cur[static_cast<std::size_t>(g.target)];
-      if (cm.coupled(pc, pt)) break;
-      // Walk the control one hop toward the target.
+    // Walk a CNOT's control one hop at a time until it meets the target.
+    while (g.is_cnot() && !cm.coupled(placed(g.control), placed(g.target))) {
+      const int pc = placed(g.control);
+      const int pt = placed(g.target);
       int best_nb = -1;
       int best_d = dist.hops(pc, pt);
       for (const int nb : cm.neighbours(pc)) {
@@ -173,43 +110,11 @@ Reconstruction greedy_route(const Circuit& circuit, const arch::CouplingMap& cm)
         }
       }
       if (best_nb < 0) throw std::logic_error("map_exact: greedy warm start cannot progress");
-      append_swap_realisation(out.mapped, cm, pc, best_nb);
-      out.skeleton.swap(pc, best_nb);
-      ++out.swaps;
-      for (auto& p : cur) {
-        if (p == pc) {
-          p = best_nb;
-        } else if (p == best_nb) {
-          p = pc;
-        }
-      }
+      route.swap(pc, best_nb);
     }
-    const int pc = cur[static_cast<std::size_t>(g.control)];
-    const int pt = cur[static_cast<std::size_t>(g.target)];
-    out.skeleton.cnot(pc, pt);
-    if (!cm.allows(pc, pt)) ++out.reversed;
-    append_cnot_realisation(out.mapped, cm, pc, pt, g.condition);
+    route.gate(g);
   }
-  out.final_layout = cur;
-  return out;
-}
-
-/// Trivial result for circuits without CNOTs: identity placement.
-MappingResult map_without_cnots(const Circuit& circuit, const arch::CouplingMap& cm) {
-  MappingResult res;
-  res.mapped = Circuit(cm.num_physical(), circuit.name() + "/mapped");
-  res.routed_skeleton = Circuit(cm.num_physical(), circuit.name() + "/routed-skeleton");
-  for (const auto& g : circuit) res.mapped.append(g);
-  for (int j = 0; j < circuit.num_qubits(); ++j) {
-    res.initial_layout.push_back(j);
-    res.final_layout.push_back(j);
-  }
-  res.status = reason::Status::Optimal;
-  res.cost_f = 0;
-  res.permutation_points = 1;
-  res.verified = true;
-  res.verify_message = "no CNOT constraints to satisfy";
-  return res;
+  return route;
 }
 
 /// Per-subset outcome collected by the executor tasks. Each task writes its
@@ -292,44 +197,29 @@ std::vector<long long> instance_hardness(const arch::CouplingMap& cm,
   return edges;
 }
 
-}  // namespace
+/// What the solver phases hand to map_exact's one result assembly.
+struct Verdict {
+  std::optional<RouteBuilder> route;  // unset when no instance produced a model
+  reason::Status status = reason::Status::Optimal;
+  bool warm_fallback = false;  // the route is the greedy warm start, not a model
+  int permutation_points = 1;
+  int instances_solved = 0;
+  long long bound_polls = 0;
+  long long bound_tightenings = 0;
+};
 
-MappingResult map_exact(const Circuit& circuit, const arch::CouplingMap& cm,
-                        const ExactOptions& options) {
-  const auto start = Clock::now();
+/// Solves the Sec. 4.1 instances of a circuit with CNOTs on the shared
+/// executor and routes the deterministic winner's model, or the warm start
+/// when no model was found in budget.
+Verdict solve_and_route(const Circuit& circuit, const std::vector<Gate>& cnots,
+                        const arch::CouplingMap& cm, const CostModel& costs,
+                        const ExactOptions& options, Clock::time_point start,
+                        PhaseTimes& phases, obs::Span& map_span) {
   const int n = circuit.num_qubits();
   const int m = cm.num_physical();
-  if (n > m) {
-    throw std::invalid_argument("map_exact: circuit needs more qubits than the architecture has");
-  }
-  if (circuit.counts().swap > 0) {
-    // Raw swap pseudo-gates in the *input* are decomposed here (Fig. 3 form)
-    // and their elementary gates routed like any others.
-    return map_exact(circuit.with_swaps_expanded(), cm, options);
-  }
-
-  obs::Span map_span("exact.map", "exact");
-  map_span.attr("circuit", circuit.name());
-  map_span.attr("arch", cm.name());
-  static obs::Counter& maps_total = obs::MetricsRegistry::instance().counter(
-      "qxmap_exact_maps_total", "map_exact calls reaching the solver pipeline");
-  maps_total.inc();
-  PhaseTimes phases;
-
-  // CNOT skeleton.
-  std::vector<Gate> cnots;
-  for (const auto& g : circuit) {
-    if (g.is_cnot()) cnots.push_back(g);
-  }
-  if (cnots.empty()) {
-    MappingResult trivial = map_without_cnots(circuit, cm);
-    trivial.objective = to_string(options.costs.objective);
-    return trivial;
-  }
-
-  const CostModel costs = options.costs.resolved(cm);
-
   const auto points = permutation_points(cnots, options.strategy, cm);
+  Verdict verdict;
+  verdict.permutation_points = static_cast<int>(points.size()) + 1;
 
   // Instance list (Sec. 4.1).
   std::vector<std::vector<int>> instances;
@@ -365,18 +255,6 @@ MappingResult map_exact(const Circuit& circuit, const arch::CouplingMap& cm,
   const auto overall_deadline = start + options.budget;
   const auto nominal_share = std::chrono::milliseconds(
       std::max<long long>(1, options.budget.count() / static_cast<long long>(instances.size())));
-
-  MappingResult res;
-  // Report the engine that actually runs, not the requested kind: without
-  // Z3 support, make_engine(EngineKind::Z3) degrades to the CDCL backend.
-  res.engine_name = reason::make_engine(options.engine)->name();
-  res.permutation_points = static_cast<int>(points.size()) + 1;
-  res.objective = to_string(costs.objective);
-  // Stamps the wall time and, while this request is traced, the phase table.
-  const auto finish = [&] {
-    res.seconds = std::chrono::duration<double>(Clock::now() - start).count();
-    if (map_span.active()) res.trace_summary = phases.table(res.seconds);
-  };
 
   // --- Shard the subset instances through the process-wide executor ------
   //
@@ -415,14 +293,14 @@ MappingResult map_exact(const Circuit& circuit, const arch::CouplingMap& cm,
   // Warm start: with a single instance under the All strategy, the symbolic
   // formulation can express every swap schedule, so the greedy route's cost
   // is a feasible objective value and seeds the bound (see greedy_route).
-  std::optional<Reconstruction> warm;
+  std::optional<RouteBuilder> warm;
   long long warm_cost = kNoBound;
   if (instances.size() == 1 && options.strategy == PermutationStrategy::All) {
     obs::Span span("exact.warm_start", "exact", &phases.warm_start_ns);
     warm = greedy_route(circuit, cm);
     // The bound lives in resolved objective units, not emitted-gate units —
     // they differ under ErrorWeighted and under explicit weight overrides.
-    warm_cost = costs.result_cost(warm->swaps, warm->reversed);
+    warm_cost = costs.result_cost(warm->swaps(), warm->reversed());
     span.attr("cost", warm_cost);
   }
 
@@ -565,8 +443,8 @@ MappingResult map_exact(const Circuit& circuit, const arch::CouplingMap& cm,
   ShardExecutor& executor = ShardExecutor::instance();
   executor.run_to_completion(executor.submit(solve_instance, priorities, num_threads));
   if (worker_error) std::rethrow_exception(worker_error);
-  res.bound_polls = total_polls.load(std::memory_order_relaxed);
-  res.bound_tightenings = total_tightenings.load(std::memory_order_relaxed);
+  verdict.bound_polls = total_polls.load(std::memory_order_relaxed);
+  verdict.bound_tightenings = total_tightenings.load(std::memory_order_relaxed);
   static obs::Counter& instances_total = obs::MetricsRegistry::instance().counter(
       "qxmap_exact_instances_solved_total",
       "Subset-instance shard tasks dequeued by maps that returned, including tasks "
@@ -589,7 +467,7 @@ MappingResult map_exact(const Circuit& circuit, const arch::CouplingMap& cm,
   bool any_unknown = false;
   for (std::size_t i = 0; i < effective; ++i) {
     InstanceOutcome& out = outcomes[i];
-    ++res.instances_solved;
+    ++verdict.instances_solved;
     if (out.status == reason::Status::Unsat) continue;
     if (out.status == reason::Status::Unknown) {
       any_unknown = true;
@@ -607,30 +485,13 @@ MappingResult map_exact(const Circuit& circuit, const arch::CouplingMap& cm,
     if (warm) {
       // Budget expired before any model under the seeded bound was found;
       // fall back to the warm start itself (feasible by construction).
-      res.mapped = std::move(warm->mapped);
-      res.routed_skeleton = std::move(warm->skeleton);
-      res.initial_layout = std::move(warm->initial_layout);
-      res.final_layout = std::move(warm->final_layout);
-      res.swaps_inserted = warm->swaps;
-      res.cnots_reversed = warm->reversed;
-      res.cost_f = static_cast<long long>(res.mapped.size()) -
-                   static_cast<long long>(circuit.size());
-      res.objective_cost = warm_cost;
-      res.status = reason::Status::Feasible;
-      if (options.verify) {
-        const bool gf2_ok =
-            sim::implements_skeleton(circuit.cnot_skeleton(), res.routed_skeleton,
-                                     res.initial_layout, res.final_layout);
-        res.verified = gf2_ok;
-        res.verify_message = std::string("gf2: ") + (gf2_ok ? "ok" : "FAILED") +
-                             "; warm-start fallback (engine found no model in budget)";
-      }
-      finish();
-      return res;
+      verdict.route = std::move(warm);
+      verdict.status = reason::Status::Feasible;
+      verdict.warm_fallback = true;
+    } else {
+      verdict.status = any_unknown ? reason::Status::Unknown : reason::Status::Unsat;
     }
-    res.status = any_unknown ? reason::Status::Unknown : reason::Status::Unsat;
-    finish();
-    return res;
+    return verdict;
   }
 
   // --- Canonical model re-derivation -------------------------------------
@@ -660,47 +521,79 @@ MappingResult map_exact(const Circuit& circuit, const arch::CouplingMap& cm,
     // anyway).
   }
 
-  Reconstruction rec = [&] {
+  verdict.route = [&] {
     obs::Span span("exact.reconstruct", "exact", &phases.reconstruct_ns);
     return reconstruct(circuit, cm, *best, points);
   }();
-  res.mapped = std::move(rec.mapped);
-  res.routed_skeleton = std::move(rec.skeleton);
-  res.initial_layout = std::move(rec.initial_layout);
-  res.final_layout = std::move(rec.final_layout);
-  res.swaps_inserted = rec.swaps;
-  res.cnots_reversed = rec.reversed;
-  res.cost_f = static_cast<long long>(res.mapped.size()) - static_cast<long long>(circuit.size());
-  res.objective_cost = best->solution.cost_f;
-  res.status = (any_feasible_not_optimal || any_unknown) ? reason::Status::Feasible
-                                                         : reason::Status::Optimal;
-
+  verdict.status = (any_feasible_not_optimal || any_unknown) ? reason::Status::Feasible
+                                                             : reason::Status::Optimal;
   // Consistency: the emitted insertions must reproduce the model's objective
   // under the resolved weights (gate units and objective units coincide only
   // for GateCount with derived weights).
-  if (costs.result_cost(res.swaps_inserted, res.cnots_reversed) != best->solution.cost_f) {
+  if (costs.result_cost(verdict.route->swaps(), verdict.route->reversed()) !=
+      best->solution.cost_f) {
     throw std::logic_error("map_exact: emitted gate overhead disagrees with model cost");
   }
+  return verdict;
+}
 
-  if (options.verify) {
-    obs::Span span("exact.verify", "exact", &phases.verify_ns);
-    const Circuit skeleton_logical = circuit.cnot_skeleton();
-    const bool gf2_ok = sim::implements_skeleton(skeleton_logical, res.routed_skeleton,
-                                                 res.initial_layout, res.final_layout);
-    bool deep_ok = true;
-    std::string deep_msg = "statevector check skipped (architecture too large)";
-    if (m <= options.deep_verify_max_qubits) {
-      const auto eq = sim::check_mapped_circuit(circuit, res.mapped, res.initial_layout,
-                                                res.final_layout);
-      deep_ok = eq.equivalent;
-      deep_msg = eq.message;
-    }
-    res.verified = gf2_ok && deep_ok;
-    res.verify_message = std::string("gf2: ") + (gf2_ok ? "ok" : "FAILED") + "; " + deep_msg;
-    span.attr("verified", res.verified);
+}  // namespace
+
+MappingResult map_exact(const Circuit& circuit, const arch::CouplingMap& cm,
+                        const ExactOptions& options) {
+  const auto start = Clock::now();
+  if (circuit.num_qubits() > cm.num_physical()) {
+    throw std::invalid_argument("map_exact: circuit needs more qubits than the architecture has");
+  }
+  if (circuit.counts().swap > 0) {
+    // Raw swap pseudo-gates in the *input* are decomposed here (Fig. 3 form)
+    // and their elementary gates routed like any others.
+    return map_exact(circuit.with_swaps_expanded(), cm, options);
   }
 
-  finish();
+  obs::Span map_span("exact.map", "exact");
+  map_span.attr("circuit", circuit.name());
+  map_span.attr("arch", cm.name());
+  static obs::Counter& maps_total = obs::MetricsRegistry::instance().counter(
+      "qxmap_exact_maps_total", "map_exact calls reaching the solver pipeline");
+  maps_total.inc();
+  PhaseTimes phases;
+
+  // CNOT skeleton.
+  std::vector<Gate> cnots;
+  for (const auto& g : circuit) {
+    if (g.is_cnot()) cnots.push_back(g);
+  }
+  const CostModel costs = options.costs.resolved(cm);
+  Verdict verdict;
+  if (cnots.empty()) {
+    // Nothing to route: every gate stays on the identity placement.
+    verdict.route.emplace(circuit, cm);
+    for (const auto& g : circuit) verdict.route->gate(g);
+  } else {
+    verdict = solve_and_route(circuit, cnots, cm, costs, options, start, phases, map_span);
+  }
+
+  MappingResult res;
+  if (verdict.route) {
+    obs::Span span("exact.verify", "exact", &phases.verify_ns);
+    res = std::move(*verdict.route).finish(costs, options.verify);
+    if (verdict.warm_fallback && options.verify) {
+      res.verify_message += "; warm-start fallback (engine found no model in budget)";
+    }
+    span.attr("verified", res.verified);
+  }
+  // Report the engine that actually runs, not the requested kind: without
+  // Z3 support, make_engine(EngineKind::Z3) degrades to the CDCL backend.
+  res.engine_name = reason::make_engine(options.engine)->name();
+  res.objective = to_string(costs.objective);
+  res.status = verdict.status;
+  res.permutation_points = verdict.permutation_points;
+  res.instances_solved = verdict.instances_solved;
+  res.bound_polls = verdict.bound_polls;
+  res.bound_tightenings = verdict.bound_tightenings;
+  res.seconds = std::chrono::duration<double>(Clock::now() - start).count();
+  if (map_span.active()) res.trace_summary = phases.table(res.seconds);
   return res;
 }
 

@@ -107,9 +107,8 @@ struct ExactOptions {
   std::chrono::milliseconds budget{10000};
   CostModel costs;
   /// Verify the result (GF(2) skeleton always; statevector when the
-  /// architecture has at most `deep_verify_max_qubits` qubits).
+  /// architecture has at most exact::kDeepVerifyMaxQubits = 8 qubits).
   bool verify = true;
-  int deep_verify_max_qubits = 8;
 };
 
 /// Outcome of a mapping run.

@@ -12,8 +12,6 @@
 #include "ir/layers.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "sim/equivalence.hpp"
-#include "sim/linear_reversible.hpp"
 
 namespace qxmap::heuristic {
 
@@ -165,17 +163,7 @@ exact::MappingResult map_astar(const Circuit& circuit, const arch::CouplingMap& 
   const arch::DistanceMatrix& dist = *dist_handle;
   const exact::CostModel costs = options.costs.resolved(cm);
 
-  exact::MappingResult res;
-  res.engine_name = "astar";
-  res.objective = exact::to_string(costs.objective);
-  res.status = reason::Status::Feasible;
-  res.mapped = Circuit(m, circuit.name() + "/mapped");
-  res.routed_skeleton = Circuit(m, circuit.name() + "/routed-skeleton");
-
-  std::vector<int> layout(static_cast<std::size_t>(n));
-  for (int j = 0; j < n; ++j) layout[static_cast<std::size_t>(j)] = j;
-  res.initial_layout = layout;
-
+  exact::RouteBuilder route(circuit, cm);
   for (const auto& layer : asap_layers(circuit)) {
     std::vector<std::pair<int, int>> pairs;
     for (const std::size_t gi : layer) {
@@ -183,48 +171,17 @@ exact::MappingResult map_astar(const Circuit& circuit, const arch::CouplingMap& 
       if (g.is_cnot()) pairs.emplace_back(g.control, g.target);
     }
     if (!pairs.empty()) {
-      for (const auto& [a, b] :
-           astar_route(pairs, layout, cm, dist, options.max_expansions, costs.swap_cost)) {
-        exact::append_swap_realisation(res.mapped, cm, a, b);
-        res.routed_skeleton.swap(a, b);
-        ++res.swaps_inserted;
-        for (auto& p : layout) {
-          if (p == a) {
-            p = b;
-          } else if (p == b) {
-            p = a;
-          }
-        }
+      for (const auto& [a, b] : astar_route(pairs, route.layout(), cm, dist,
+                                            options.max_expansions, costs.swap_cost)) {
+        route.swap(a, b);
       }
     }
-    for (const std::size_t gi : layer) {
-      const Gate& g = circuit.gate(gi);
-      if (g.kind == OpKind::Barrier) {
-        res.mapped.append(g);
-        continue;
-      }
-      if (g.is_nonunitary() || g.is_single_qubit()) {
-        // remapped() keeps params and any classical guard.
-        res.mapped.append(g.remapped(layout[static_cast<std::size_t>(g.target)]));
-        continue;
-      }
-      const int pc = layout[static_cast<std::size_t>(g.control)];
-      const int pt = layout[static_cast<std::size_t>(g.target)];
-      res.routed_skeleton.cnot(pc, pt);
-      if (!cm.allows(pc, pt)) ++res.cnots_reversed;
-      exact::append_cnot_realisation(res.mapped, cm, pc, pt, g.condition);
-    }
+    for (const std::size_t gi : layer) route.gate(circuit.gate(gi));
   }
-  res.final_layout = layout;
-  res.cost_f = static_cast<long long>(res.mapped.size()) - static_cast<long long>(circuit.size());
-  res.objective_cost = costs.result_cost(res.swaps_inserted, res.cnots_reversed);
 
-  if (options.verify) {
-    const bool gf2_ok = sim::implements_skeleton(circuit.cnot_skeleton(), res.routed_skeleton,
-                                                 res.initial_layout, res.final_layout);
-    res.verified = gf2_ok;
-    res.verify_message = std::string("gf2: ") + (gf2_ok ? "ok" : "FAILED");
-  }
+  exact::MappingResult res = std::move(route).finish(costs, options.verify);
+  res.engine_name = "astar";
+  res.status = reason::Status::Feasible;
   res.seconds = std::chrono::duration<double>(Clock::now() - start).count();
   return res;
 }

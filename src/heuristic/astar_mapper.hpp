@@ -25,7 +25,7 @@ struct AStarOptions {
   /// search expands SWAPs at the resolved swap cost and reports
   /// MappingResult::objective_cost in the same units.
   exact::CostModel costs;
-  bool verify = true;           ///< GF(2)-verify the routed skeleton
+  bool verify = true;           ///< verify as exact::RouteBuilder::finish does
 };
 
 /// Maps `circuit` to `cm`; engine_name is "astar", status Feasible.

@@ -9,7 +9,6 @@
 #include "exact/swap_synthesis.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "sim/linear_reversible.hpp"
 
 namespace qxmap::heuristic {
 
@@ -41,15 +40,6 @@ struct Dag {
   std::vector<std::vector<std::size_t>> succs;
 };
 
-/// One routing pass. When `emit` is non-null, gates and SWAP realisations
-/// are appended to it (and to `skeleton`); otherwise only the layout is
-/// evolved (the bidirectional warm-up passes).
-struct PassResult {
-  std::vector<int> layout;
-  int swaps = 0;
-  int reversed = 0;
-};
-
 /// Undirected hop counts of `dist` as one flat m*m table, read through the
 /// checked DistanceMatrix::hops() once per map.
 std::vector<int> hop_table(const arch::DistanceMatrix& dist) {
@@ -62,13 +52,14 @@ std::vector<int> hop_table(const arch::DistanceMatrix& dist) {
   return hops;
 }
 
-PassResult run_pass(const Dag& dag, const arch::CouplingMap& cm, const std::vector<int>& hops,
-                    const SabreOptions& opt, std::vector<int> layout, Rng& rng, Circuit* emit,
-                    Circuit* skeleton) {
+/// One routing pass from `layout`; returns the final layout. When `route`
+/// is non-null, the pass emits its gates and SWAPs through it; otherwise
+/// only the layout evolves (the bidirectional warm-up passes).
+std::vector<int> run_pass(const Dag& dag, const arch::CouplingMap& cm,
+                          const std::vector<int>& hops, const SabreOptions& opt,
+                          std::vector<int> layout, Rng& rng, exact::RouteBuilder* route) {
   const Circuit& circuit = *dag.circuit;
   const int m = cm.num_physical();
-  PassResult result;
-  result.layout = std::move(layout);
 
   std::vector<int> preds = dag.preds;
   std::vector<std::size_t> front;
@@ -100,33 +91,15 @@ PassResult run_pass(const Dag& dag, const arch::CouplingMap& cm, const std::vect
   };
 
   const auto schedule = [&](std::size_t gi) {
-    const Gate& g = circuit.gate(gi);
-    if (emit != nullptr) {
-      if (g.kind == OpKind::Barrier) {
-        emit->append(g);
-      } else if (g.is_nonunitary() || g.is_single_qubit()) {
-        // remapped() keeps params and any classical guard.
-        emit->append(g.remapped(result.layout[static_cast<std::size_t>(g.target)]));
-      } else {
-        const int pc = result.layout[static_cast<std::size_t>(g.control)];
-        const int pt = result.layout[static_cast<std::size_t>(g.target)];
-        skeleton->cnot(pc, pt);
-        if (!cm.allows(pc, pt)) ++result.reversed;
-        exact::append_cnot_realisation(*emit, cm, pc, pt, g.condition);
-      }
-    }
+    if (route != nullptr) route->gate(circuit.gate(gi));
     for (const std::size_t succ : dag.succs[gi]) {
       if (--preds[succ] == 0) front.push_back(succ);
     }
   };
 
   const auto apply_swap = [&](int a, int b) {
-    if (emit != nullptr) {
-      exact::append_swap_realisation(*emit, cm, a, b);
-      skeleton->swap(a, b);
-    }
-    ++result.swaps;
-    for (auto& p : result.layout) {
+    if (route != nullptr) route->swap(a, b);
+    for (auto& p : layout) {
       if (p == a) {
         p = b;
       } else if (p == b) {
@@ -143,7 +116,7 @@ PassResult run_pass(const Dag& dag, const arch::CouplingMap& cm, const std::vect
     front.clear();
     for (const std::size_t gi : current) {
       const Gate& g = circuit.gate(gi);
-      if (!g.is_cnot() || coupled_under(g, result.layout)) {
+      if (!g.is_cnot() || coupled_under(g, layout)) {
         schedule(gi);
         progressed = true;
       } else {
@@ -162,8 +135,8 @@ PassResult run_pass(const Dag& dag, const arch::CouplingMap& cm, const std::vect
     if (++swaps_since_progress > livelock_limit) {
       // Deterministic fallback: walk the first blocked pair together.
       const Gate& g = circuit.gate(front[0]);
-      const int pc = result.layout[static_cast<std::size_t>(g.control)];
-      const int pt = result.layout[static_cast<std::size_t>(g.target)];
+      const int pc = layout[static_cast<std::size_t>(g.control)];
+      const int pt = layout[static_cast<std::size_t>(g.target)];
       int best_nb = -1;
       int best_d = hops_at(pc, pt);
       for (const int nb : cm.neighbours(pc)) {
@@ -208,8 +181,8 @@ PassResult run_pass(const Dag& dag, const arch::CouplingMap& cm, const std::vect
     // sum in any order.
     int front_distance = 0;
     for (std::size_t k = 0; k < front_pairs.size(); ++k) {
-      const int pc = result.layout[static_cast<std::size_t>(front_pairs[k].first)];
-      const int pt = result.layout[static_cast<std::size_t>(front_pairs[k].second)];
+      const int pc = layout[static_cast<std::size_t>(front_pairs[k].first)];
+      const int pt = layout[static_cast<std::size_t>(front_pairs[k].second)];
       front_owner[static_cast<std::size_t>(pc)] = static_cast<int>(k);
       front_owner[static_cast<std::size_t>(pt)] = static_cast<int>(k);
       front_distance += hops_at(pc, pt);
@@ -225,13 +198,13 @@ PassResult run_pass(const Dag& dag, const arch::CouplingMap& cm, const std::vect
       if (ka < 0 && kb < 0) continue;
       const auto moved_distance = [&, a = a, b = b](const std::pair<int, int>& pr) {
         const auto moved = [a, b](int x) { return x == a ? b : (x == b ? a : x); };
-        return hops_at(moved(result.layout[static_cast<std::size_t>(pr.first)]),
-                       moved(result.layout[static_cast<std::size_t>(pr.second)]));
+        return hops_at(moved(layout[static_cast<std::size_t>(pr.first)]),
+                       moved(layout[static_cast<std::size_t>(pr.second)]));
       };
       const auto pair_delta = [&](int k) {
         const auto& pr = front_pairs[static_cast<std::size_t>(k)];
-        return moved_distance(pr) - hops_at(result.layout[static_cast<std::size_t>(pr.first)],
-                                            result.layout[static_cast<std::size_t>(pr.second)]);
+        return moved_distance(pr) - hops_at(layout[static_cast<std::size_t>(pr.first)],
+                                            layout[static_cast<std::size_t>(pr.second)]);
       };
       int front_after = front_distance;
       if (ka >= 0) front_after += pair_delta(ka);
@@ -252,15 +225,15 @@ PassResult run_pass(const Dag& dag, const arch::CouplingMap& cm, const std::vect
       ++candidates;
     }
     for (const auto& [qc, qt] : front_pairs) {
-      front_owner[static_cast<std::size_t>(result.layout[static_cast<std::size_t>(qc)])] = -1;
-      front_owner[static_cast<std::size_t>(result.layout[static_cast<std::size_t>(qt)])] = -1;
+      front_owner[static_cast<std::size_t>(layout[static_cast<std::size_t>(qc)])] = -1;
+      front_owner[static_cast<std::size_t>(layout[static_cast<std::size_t>(qt)])] = -1;
     }
     if (best_edge.first < 0) throw std::logic_error("map_sabre: no candidate swap");
     decay[static_cast<std::size_t>(best_edge.first)] += opt.decay;
     decay[static_cast<std::size_t>(best_edge.second)] += opt.decay;
     apply_swap(best_edge.first, best_edge.second);
   }
-  return result;
+  return layout;
 }
 
 /// Circuit with the gate order reversed (routing only cares about pair
@@ -310,32 +283,15 @@ exact::MappingResult map_sabre(const Circuit& circuit, const arch::CouplingMap& 
   for (int round = 0; round < options.bidirectional_rounds; ++round) {
     obs::Span iter("heuristic.iteration", "heuristic");
     iter.attr("round", static_cast<long long>(round));
-    layout = run_pass(forward, cm, hops, options, std::move(layout), rng, nullptr, nullptr).layout;
-    layout = run_pass(backward, cm, hops, options, std::move(layout), rng, nullptr, nullptr).layout;
+    layout = run_pass(forward, cm, hops, options, std::move(layout), rng, nullptr);
+    layout = run_pass(backward, cm, hops, options, std::move(layout), rng, nullptr);
   }
 
-  exact::MappingResult res;
+  exact::RouteBuilder route(circuit, cm, layout);
+  run_pass(forward, cm, hops, options, std::move(layout), rng, &route);
+  exact::MappingResult res = std::move(route).finish(costs, options.verify);
   res.engine_name = "sabre";
   res.status = reason::Status::Feasible;
-  res.mapped = Circuit(m, circuit.name() + "/mapped");
-  res.routed_skeleton = Circuit(m, circuit.name() + "/routed-skeleton");
-  res.initial_layout = layout;
-
-  const PassResult final_pass = run_pass(forward, cm, hops, options, std::move(layout), rng,
-                                         &res.mapped, &res.routed_skeleton);
-  res.final_layout = final_pass.layout;
-  res.swaps_inserted = final_pass.swaps;
-  res.cnots_reversed = final_pass.reversed;
-  res.cost_f = static_cast<long long>(res.mapped.size()) - static_cast<long long>(circuit.size());
-  res.objective = exact::to_string(costs.objective);
-  res.objective_cost = costs.result_cost(res.swaps_inserted, res.cnots_reversed);
-
-  if (options.verify) {
-    const bool gf2_ok = sim::implements_skeleton(circuit.cnot_skeleton(), res.routed_skeleton,
-                                                 res.initial_layout, res.final_layout);
-    res.verified = gf2_ok;
-    res.verify_message = std::string("gf2: ") + (gf2_ok ? "ok" : "FAILED");
-  }
   res.seconds = std::chrono::duration<double>(Clock::now() - start).count();
   return res;
 }

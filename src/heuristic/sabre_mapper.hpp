@@ -30,7 +30,7 @@ struct SabreOptions {
   /// MappingResult::objective_cost. Routing decisions are distance-driven
   /// and unaffected.
   exact::CostModel costs;
-  bool verify = true;               ///< GF(2)-verify the routed skeleton
+  bool verify = true;               ///< verify as exact::RouteBuilder::finish does
 };
 
 /// Maps `circuit` to `cm`; engine_name is "sabre", status Feasible.

@@ -11,55 +11,12 @@
 #include "ir/layers.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "sim/equivalence.hpp"
-#include "sim/linear_reversible.hpp"
 
 namespace qxmap::heuristic {
 
 namespace {
 
 using Clock = std::chrono::steady_clock;
-
-/// State of one end-to-end mapping run.
-struct RunState {
-  Circuit mapped;
-  Circuit skeleton;
-  std::vector<int> layout;  // logical -> physical
-  int swaps = 0;
-  int reversed = 0;
-};
-
-/// Applies SWAP(a, b) to the layout and emits its realisation.
-void apply_swap(RunState& st, const arch::CouplingMap& cm, int a, int b) {
-  exact::append_swap_realisation(st.mapped, cm, a, b);
-  st.skeleton.swap(a, b);
-  ++st.swaps;
-  for (auto& p : st.layout) {
-    if (p == a) {
-      p = b;
-    } else if (p == b) {
-      p = a;
-    }
-  }
-}
-
-/// Emits one gate under the current layout.
-void emit_gate(RunState& st, const arch::CouplingMap& cm, const Gate& g) {
-  if (g.kind == OpKind::Barrier) {
-    st.mapped.append(g);
-    return;
-  }
-  if (g.is_nonunitary() || g.is_single_qubit()) {
-    // remapped() keeps params and any classical guard.
-    st.mapped.append(g.remapped(st.layout[static_cast<std::size_t>(g.target)]));
-    return;
-  }
-  const int pc = st.layout[static_cast<std::size_t>(g.control)];
-  const int pt = st.layout[static_cast<std::size_t>(g.target)];
-  st.skeleton.cnot(pc, pt);
-  if (!cm.allows(pc, pt)) ++st.reversed;
-  exact::append_cnot_realisation(st.mapped, cm, pc, pt, g.condition);
-}
 
 /// All CNOTs of `gates` executable (coupled in some direction) under layout?
 bool layer_executable(const std::vector<int>& layout, const std::vector<Gate>& gates,
@@ -225,18 +182,18 @@ std::vector<std::pair<int, int>> route_single(const std::vector<int>& layout, in
 }
 
 /// Routes + emits one group of gates (a layer or a serialized single gate).
-void process_group(RunState& st, const std::vector<Gate>& gates, const arch::CouplingMap& cm,
-                   const arch::DistanceMatrix& dist, TrialScratch& scratch, Rng& rng,
-                   int trials) {
+void process_group(exact::RouteBuilder& route, const std::vector<Gate>& gates,
+                   const arch::CouplingMap& cm, const arch::DistanceMatrix& dist,
+                   TrialScratch& scratch, Rng& rng, int trials) {
   std::vector<std::pair<int, int>> pairs;
   for (const auto& g : gates) {
     if (g.is_cnot()) pairs.emplace_back(g.control, g.target);
   }
-  if (!pairs.empty() && !layer_executable(st.layout, gates, cm)) {
+  if (!pairs.empty() && !layer_executable(route.layout(), gates, cm)) {
     bool found = false;
     std::vector<std::pair<int, int>> best;
     for (int t = 0; t < trials; ++t) {
-      if (trial_search(pairs, st.layout, cm, scratch, rng) &&
+      if (trial_search(pairs, route.layout(), cm, scratch, rng) &&
           (!found || scratch.swaps.size() < best.size())) {
         std::swap(best, scratch.swaps);
         found = true;
@@ -244,13 +201,13 @@ void process_group(RunState& st, const std::vector<Gate>& gates, const arch::Cou
     }
     if (!found && pairs.size() > 1) {
       // Serialize the layer: route and emit gate by gate.
-      for (const auto& g : gates) process_group(st, {g}, cm, dist, scratch, rng, trials);
+      for (const auto& g : gates) process_group(route, {g}, cm, dist, scratch, rng, trials);
       return;
     }
-    if (!found) best = route_single(st.layout, pairs[0].first, pairs[0].second, cm, dist);
-    for (const auto& [a, b] : best) apply_swap(st, cm, a, b);
+    if (!found) best = route_single(route.layout(), pairs[0].first, pairs[0].second, cm, dist);
+    for (const auto& [a, b] : best) route.swap(a, b);
   }
-  for (const auto& g : gates) emit_gate(st, cm, g);
+  for (const auto& g : gates) route.gate(g);
 }
 
 }  // namespace
@@ -287,58 +244,30 @@ exact::MappingResult map_stochastic_swap(const Circuit& circuit, const arch::Cou
   const exact::CostModel costs = options.costs.resolved(cm);
   const auto layers = asap_layers(circuit);
 
-  std::optional<RunState> best;
-  std::vector<int> best_initial;
+  std::optional<exact::RouteBuilder> best;
   TrialScratch scratch(cm, dist);
   Rng rng(options.seed);
   for (int run = 0; run < options.runs; ++run) {
     obs::Span iter("heuristic.iteration", "heuristic");
     iter.attr("run", static_cast<long long>(run));
-    RunState st{Circuit(m, circuit.name() + "/mapped"),
-                Circuit(m, circuit.name() + "/routed-skeleton"),
-                {},
-                0,
-                0};
-    st.layout.resize(static_cast<std::size_t>(n));
-    for (int j = 0; j < n; ++j) st.layout[static_cast<std::size_t>(j)] = j;  // trivial layout
-    const std::vector<int> initial = st.layout;
-
+    exact::RouteBuilder route(circuit, cm);  // trivial layout
     for (const auto& layer : layers) {
       std::vector<Gate> gates;
       gates.reserve(layer.size());
       for (const std::size_t gi : layer) gates.push_back(circuit.gate(gi));
-      process_group(st, gates, cm, dist, scratch, rng, options.trials);
+      process_group(route, gates, cm, dist, scratch, rng, options.trials);
     }
-    iter.attr("cost", costs.result_cost(st.swaps, st.reversed));
+    const long long cost = costs.result_cost(route.swaps(), route.reversed());
+    iter.attr("cost", cost);
     // Best-of-runs selection under the requested objective (ties keep the
     // earlier run, so single-run results are unchanged).
-    if (!best || costs.result_cost(st.swaps, st.reversed) <
-                     costs.result_cost(best->swaps, best->reversed)) {
-      best = std::move(st);
-      best_initial = initial;
-    }
+    if (!best || cost < costs.result_cost(best->swaps(), best->reversed())) best = std::move(route);
   }
 
-  exact::MappingResult res;
+  exact::MappingResult res = std::move(*best).finish(costs, options.verify);
   res.engine_name = "qiskit-stochastic";
   res.status = reason::Status::Feasible;
-  res.mapped = std::move(best->mapped);
-  res.routed_skeleton = std::move(best->skeleton);
-  res.initial_layout = std::move(best_initial);
-  res.final_layout = std::move(best->layout);
-  res.swaps_inserted = best->swaps;
-  res.cnots_reversed = best->reversed;
-  res.cost_f = static_cast<long long>(res.mapped.size()) - static_cast<long long>(circuit.size());
-  res.objective = exact::to_string(costs.objective);
-  res.objective_cost = costs.result_cost(res.swaps_inserted, res.cnots_reversed);
   res.instances_solved = options.runs;
-
-  if (options.verify) {
-    const bool gf2_ok = sim::implements_skeleton(circuit.cnot_skeleton(), res.routed_skeleton,
-                                                 res.initial_layout, res.final_layout);
-    res.verified = gf2_ok;
-    res.verify_message = std::string("gf2: ") + (gf2_ok ? "ok" : "FAILED");
-  }
   res.seconds = std::chrono::duration<double>(Clock::now() - start).count();
   return res;
 }

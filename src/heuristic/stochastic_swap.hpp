@@ -32,7 +32,7 @@ struct StochasticSwapOptions {
   /// Objective weights (resolved against the architecture); reported via
   /// MappingResult::objective_cost and used to pick the best of `runs`.
   exact::CostModel costs;
-  bool verify = true;      ///< GF(2)-verify the routed skeleton
+  bool verify = true;      ///< verify as exact::RouteBuilder::finish does
 };
 
 /// Maps `circuit` to `cm`. The result's engine_name is "qiskit-stochastic";

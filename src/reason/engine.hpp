@@ -131,11 +131,12 @@ class ReasoningEngine {
   // Convenience helpers shared by all backends (implemented via add_clause /
   // new_bool only).
 
-  /// Pairwise at-most-one.
+  /// At-most-one: pairwise for up to 6 literals, the sequential ("ladder")
+  /// encoding with n - 1 auxiliary variables above that.
   void add_at_most_one(const std::vector<int>& lits);
   /// One clause.
   void add_at_least_one(const std::vector<int>& lits);
-  /// Exactly-one (pairwise).
+  /// Exactly-one: one clause plus add_at_most_one.
   void add_exactly_one(const std::vector<int>& lits);
   /// Fresh t with t ↔ (a ∧ b); operands are literals.
   [[nodiscard]] int make_and(int a, int b);

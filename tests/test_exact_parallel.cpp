@@ -1,8 +1,9 @@
 /// Determinism/concurrency harness for the parallel exact mapper: thread-
 /// count invariance of the subset shard-and-reduce, the shared-bound early
 /// termination, the zero-cost short-circuit, oversubscription (more threads
-/// than subsets), the hardest-first pop order, and engine-cooperative
-/// mid-solve bound tightening (docs/concurrency.md).
+/// than subsets), the hardest-first pop order, engine-cooperative mid-solve
+/// bound tightening (docs/concurrency.md), and the warm start that seeds
+/// the shared bound.
 
 #include <gtest/gtest.h>
 
@@ -16,6 +17,8 @@
 #include "bench_circuits/generators.hpp"
 #include "bench_circuits/table1_suite.hpp"
 #include "exact/exact_mapper.hpp"
+#include "exact/swap_synthesis.hpp"
+#include "obs/trace.hpp"
 #include "reason/cdcl_engine.hpp"
 
 namespace qxmap {
@@ -450,6 +453,44 @@ TEST(Table1ThreadInvariance, SmallRowsAreBitIdenticalAcrossThreadCounts) {
       const auto parallel = map_exact(c, arch::ibm_qx4(), opt);
       expect_identical(serial, parallel, std::string(name) + ", threads " + std::to_string(threads));
     }
+  }
+}
+
+// --- Warm-start fallback -----------------------------------------------------
+
+TEST(WarmStartFallback, IsAVerifiedFeasibleGreedyRoute) {
+  // A 0 ms budget leaves the engine no time to find a model under the
+  // greedy route's bound, so the single QX4 instance returns the warm start.
+  const auto cm = arch::ibm_qx4();
+  auto& recorder = obs::TraceRecorder::instance();
+  const bool was_enabled = obs::TraceRecorder::enabled();
+  ExactOptions opt;
+  opt.engine = EngineKind::Cdcl;
+  opt.budget = std::chrono::milliseconds(0);
+  for (const int cnots : {10, 20, 40}) {
+    const Circuit c = bench::random_cnot_circuit(5, cnots, 100 + cnots, "fallback");
+    recorder.set_enabled(true);
+    recorder.clear();
+    const auto res = map_exact(c, cm, opt);
+    const auto events = recorder.snapshot();
+    recorder.set_enabled(was_enabled);
+    // The greedy route's cost, as the warm-start span recorded it.
+    std::string warm_cost;
+    for (const auto& e : events) {
+      if (e.name != "exact.warm_start") continue;
+      for (const auto& [key, value] : e.attrs) {
+        if (key == "cost") warm_cost = value;
+      }
+    }
+    ASSERT_FALSE(warm_cost.empty()) << cnots << " cnots";
+    EXPECT_EQ(res.status, Status::Feasible) << cnots << " cnots";
+    EXPECT_NE(res.verify_message.find("warm-start fallback"), std::string::npos)
+        << res.verify_message;
+    EXPECT_EQ(std::to_string(res.objective_cost), warm_cost);
+    EXPECT_TRUE(exact::satisfies_coupling(res.mapped, cm));
+    EXPECT_TRUE(res.verified) << res.verify_message;
+    EXPECT_NE(res.verify_message.find("equivalent on the embedded subspace"), std::string::npos)
+        << "statevector check did not run: " << res.verify_message;
   }
 }
 

@@ -12,6 +12,7 @@
 #include "bench_circuits/generators.hpp"
 #include "bench_circuits/table1_suite.hpp"
 #include "common/rng.hpp"
+#include "exact/exact_mapper.hpp"
 #include "exact/reference_search.hpp"
 #include "exact/swap_synthesis.hpp"
 #include "qasm/writer.hpp"
@@ -258,6 +259,59 @@ TEST(HeuristicGolden, OutputsAreByteIdenticalToRecordedDigests) {
   for (const auto& c : cases) {
     const auto res = c.map();
     EXPECT_TRUE(res.verified) << c.name;
+    EXPECT_EQ(golden_digest(res), c.digest) << c.name;
+  }
+}
+
+// The exact mapper's outputs, pinned like the heuristics' above: the
+// warm-start fallback (a 0 ms budget leaves the engine no time to find a
+// model under the greedy route's bound), Table-1 rows that prove far inside
+// their budget at 1 and 4 threads, and a CNOT-free circuit.
+TEST(ExactGolden, OutputsAreByteIdenticalToRecordedDigests) {
+  const auto qx4 = arch::ibm_qx4();
+  const auto fallback = [&](int cnots, std::uint64_t seed) {
+    exact::ExactOptions o;
+    o.engine = reason::EngineKind::Cdcl;
+    o.budget = std::chrono::milliseconds(0);
+    const auto res = exact::map_exact(bench::random_cnot_circuit(5, cnots, seed, "golden"), qx4, o);
+    EXPECT_EQ(res.status, reason::Status::Feasible);
+    EXPECT_NE(res.verify_message.find("warm-start fallback"), std::string::npos)
+        << res.verify_message;
+    return res;
+  };
+  const auto table1 = [&](const char* name, int threads) {
+    exact::ExactOptions o;
+    o.engine = reason::EngineKind::Cdcl;
+    o.use_subsets = true;
+    o.num_threads = threads;
+    o.budget = std::chrono::milliseconds(30000);
+    const auto res = exact::map_exact(bench::table1_benchmark(name).build(), qx4, o);
+    EXPECT_EQ(res.status, reason::Status::Optimal) << name;
+    return res;
+  };
+  Circuit cnot_free(3, "golden-cnot-free");
+  cnot_free.h(0);
+  cnot_free.t(1);
+  cnot_free.append(Gate::barrier());
+  cnot_free.x(2);
+  cnot_free.append(Gate::measure(1));
+  const std::vector<GoldenCase> cases = {
+      {"fallback 10 cnots", [&] { return fallback(10, 1); }, "4a07d27333d6597e"},
+      {"fallback 20 cnots", [&] { return fallback(20, 2); }, "5fd9ca27269f34e9"},
+      {"fallback 40 cnots", [&] { return fallback(40, 3); }, "eee034422153f488"},
+      {"ex-1_166 1 thread", [&] { return table1("ex-1_166", 1); }, "71ba033d3c2c9d8c"},
+      {"ex-1_166 4 threads", [&] { return table1("ex-1_166", 4); }, "71ba033d3c2c9d8c"},
+      {"ham3_102 1 thread", [&] { return table1("ham3_102", 1); }, "cfb0e6a9eb3722aa"},
+      {"ham3_102 4 threads", [&] { return table1("ham3_102", 4); }, "cfb0e6a9eb3722aa"},
+      {"4gt11_84 1 thread", [&] { return table1("4gt11_84", 1); }, "d72ae4f6dc59d99b"},
+      {"4gt11_84 4 threads", [&] { return table1("4gt11_84", 4); }, "d72ae4f6dc59d99b"},
+      {"cnot-free qx4", [&] { return exact::map_exact(cnot_free, qx4); }, "21ad6493c4f46afc"},
+      {"cnot-free tokyo", [&] { return exact::map_exact(cnot_free, arch::ibm_tokyo()); },
+       "1f138f0fc06bf5ac"},
+  };
+  for (const auto& c : cases) {
+    const auto res = c.map();
+    EXPECT_TRUE(res.verified) << c.name << ": " << res.verify_message;
     EXPECT_EQ(golden_digest(res), c.digest) << c.name;
   }
 }

@@ -245,10 +245,6 @@ TEST(MappingServiceKey, ResultAffectingOptionsForkEntries) {
   subsets.exact.use_subsets = !base.exact.use_subsets;
   EXPECT_NE(MappingService::cache_key(c, cm, subsets), base_key);
 
-  MapOptions deep_verify = base;
-  deep_verify.exact.deep_verify_max_qubits = base.exact.deep_verify_max_qubits + 1;
-  EXPECT_NE(MappingService::cache_key(c, cm, deep_verify), base_key);
-
   MapOptions budget = base;
   budget.exact.budget = std::chrono::milliseconds(12345);
   EXPECT_NE(MappingService::cache_key(c, cm, budget), base_key);
